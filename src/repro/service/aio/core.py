@@ -332,7 +332,8 @@ class AsyncServiceCore:
         the response streams back while later slots still converge.
         Items whose request key already appeared earlier in the batch
         copy the first occurrence's response with ``deduped: true``,
-        exactly like the threaded endpoint.
+        exactly like the threaded endpoint, and each distinct problem
+        payload is hashed once (:meth:`SchedulingService.parse_heads`).
         """
         if not isinstance(payloads, (list, tuple)):
             raise ServiceError("'requests' must be an array of solve requests")
@@ -340,11 +341,9 @@ class AsyncServiceCore:
         first_seen: dict[RequestKey, "asyncio.Task[dict[str, Any]]"] = {}
         entries: list[tuple[str, Any]] = []
         duplicates = 0
-        for payload in payloads:
-            try:
-                keyed = self.service.parse_head(payload)
-            except Exception as exc:  # per-item isolation
-                entries.append(("error", error_payload(exc)))
+        for keyed in self.service.parse_heads(payloads):
+            if isinstance(keyed, Exception):
+                entries.append(("error", error_payload(keyed)))
                 continue
             prior = first_seen.get(keyed.key)
             if prior is not None:

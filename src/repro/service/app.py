@@ -3,17 +3,24 @@
 :class:`SchedulingService` is the transport-agnostic core behind the HTTP
 front-end (:mod:`repro.service.http`) and the ``repro submit`` client:
 
-1. a request payload (canonical wire format, :mod:`repro.service.codec`)
-   is parsed into a problem, a configured scheduler and a budget;
-2. the content-addressed key (:mod:`repro.service.keys`) is looked up in
-   the memoizing result store (:mod:`repro.service.cache`) — a hit
-   replays the stored result fragment byte-for-byte with
-   ``cache_hit: true``;
-3. a miss is dispatched to the bounded job executor
+1. :meth:`~SchedulingService.parse_head` validates a request payload
+   (canonical wire format, :mod:`repro.service.codec`), configures the
+   scheduler and computes the content-addressed key
+   (:mod:`repro.service.keys`) without decoding the problem;
+2. the key is looked up in the memoizing result store
+   (:mod:`repro.service.cache`) — a hit replays the stored result
+   fragment byte-for-byte with ``cache_hit: true`` and never decodes;
+3. a miss decodes the problem (:meth:`~SchedulingService.complete`) and
+   is dispatched to the bounded job executor
    (:mod:`repro.service.executor`), which runs the registered scheduler,
    encodes the result, and populates both cache tiers;
 4. ``stats()`` aggregates cache hit-rate, executor counters and p50/p95
    latencies for ``GET /v1/stats``.
+
+A batch (:meth:`~SchedulingService.solve_batch`) hashes each distinct
+problem payload once (:meth:`~SchedulingService.parse_heads`), probes
+the cache for every distinct key, and decodes each distinct problem
+among the misses once.
 
 Fabric lifecycle (see ``docs/service.md`` "Resilience & multi-node"):
 :attr:`SchedulingService.ready` distinguishes readiness from liveness
@@ -27,6 +34,7 @@ marked ``degraded: true`` instead of a 504.
 from __future__ import annotations
 
 import dataclasses
+import marshal
 import threading
 import time
 from collections import deque
@@ -115,6 +123,24 @@ def batch_group_key(parsed: "ParsedRequest | KeyedRequest") -> tuple[str, str, s
         params_hash(parsed.algorithm, 0.0, declared_params(parsed.scheduler)),
         parsed.timeout,
     )
+
+
+def _problem_fingerprint(payload: Any) -> bytes | None:
+    """Exact bytes of a request's problem payload, or ``None``.
+
+    Equal bytes prove two payloads identical down to their value types:
+    ``marshal`` keeps ``1``, ``1.0`` and ``true`` apart, which ``==``
+    does not and :func:`~repro.service.keys.problem_hash` renders
+    differently.  Identical payloads may still marshal differently
+    (another key order, shared strings); that only costs a re-hash.
+    """
+    problem = payload.get("problem") if isinstance(payload, Mapping) else None
+    if not isinstance(problem, dict):
+        return None
+    try:
+        return marshal.dumps(problem)
+    except ValueError:  # a value marshal cannot encode: just hash it
+        return None
 
 
 @dataclasses.dataclass
@@ -261,8 +287,10 @@ class SchedulingService:
     # Request parsing
     # ------------------------------------------------------------------ #
 
-    def parse_request(self, payload: Mapping[str, Any]) -> ParsedRequest:
-        """Decode and validate one solve-request payload.
+    def parse_head(
+        self, payload: Mapping[str, Any], *, problem_digest: str | None = None
+    ) -> KeyedRequest:
+        """Validate a request and compute its key, deferring the decode.
 
         Request shape::
 
@@ -274,16 +302,14 @@ class SchedulingService:
               "params":    {"engine": "fast"},  # optional scheduler knobs
               "timeout":   10.0            # optional per-job timeout (s)
             }
-        """
-        return self.complete(self.parse_head(payload))
-
-    def parse_head(self, payload: Mapping[str, Any]) -> KeyedRequest:
-        """Validate a request and compute its key, deferring the decode.
 
         Everything except :func:`codec.decode_problem` runs here: field
-        validation, scheduler configuration, and the content hash.  The
-        asyncio core coalesces on the returned key before paying for the
-        decode; :meth:`complete` finishes the job.
+        validation, scheduler configuration, and the content hash.  Both
+        front ends probe the cache on the returned key before paying for
+        the decode; :meth:`complete` finishes the job.
+        ``problem_digest`` is the ``problem_hash`` of a payload already
+        proven identical to this one (see :meth:`parse_heads`); it skips
+        the hash.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
@@ -332,7 +358,11 @@ class SchedulingService:
         # Hash the *full* effective knob set (not just the client-supplied
         # subset) so explicit defaults and omitted defaults collide.
         key = RequestKey(
-            problem_hash=problem_hash(problem_payload),
+            problem_hash=(
+                problem_digest
+                if problem_digest is not None
+                else problem_hash(problem_payload)
+            ),
             algorithm=algorithm,
             params_hash=params_hash(algorithm, budget, declared_params(scheduler)),
         )
@@ -344,6 +374,31 @@ class SchedulingService:
             timeout=timeout,
             key=key,
         )
+
+    def parse_heads(self, payloads: Sequence[Any]) -> list["KeyedRequest | Exception"]:
+        """:meth:`parse_head` for each batch item, hashing each distinct problem once.
+
+        An item reuses an earlier item's ``problem_hash`` only when its
+        problem payload marshals to the same bytes
+        (:func:`_problem_fingerprint`); otherwise it is hashed.  A
+        failing item's exception takes its slot, so it fails alone.
+        Serves both the threaded ``/v1/solve_batch`` and the asyncio
+        batch stream.
+        """
+        digests: dict[bytes, str] = {}
+        heads: list[KeyedRequest | Exception] = []
+        for payload in payloads:
+            fingerprint = _problem_fingerprint(payload)
+            digest = None if fingerprint is None else digests.get(fingerprint)
+            try:
+                keyed = self.parse_head(payload, problem_digest=digest)
+            except Exception as exc:  # lint: ignore[RS602] - per-item isolation
+                heads.append(exc)
+                continue
+            if fingerprint is not None:
+                digests[fingerprint] = keyed.key.problem_hash
+            heads.append(keyed)
+        return heads
 
     @staticmethod
     def complete(
@@ -489,15 +544,11 @@ class SchedulingService:
             "result": dict(fragment),
         }
 
-    def submit_parsed(self, parsed: ParsedRequest) -> "Future[dict[str, Any]]":
-        """Return a future for an already-parsed request.
+    def _reject_if_draining(self) -> None:
+        """A draining service rejects everything — even cache hits.
 
-        Cache hits resolve immediately without occupying a worker; misses
-        go through the bounded executor (and may raise
-        :class:`ServiceOverloadedError` right here).  A draining service
-        rejects everything — even cache hits — so a router fails the
-        request over to a healthy sibling instead of depending on a node
-        that is about to exit.
+        The router then fails the request over to a healthy sibling
+        instead of depending on a node that is about to exit.
         """
         if self._draining:
             raise ServiceOverloadedError(
@@ -505,22 +556,6 @@ class SchedulingService:
                 reason="service is draining: in-flight jobs are finishing, "
                 "new requests are rejected",
             )
-        fragment = self.cache.get(parsed.key)
-        if fragment is not None:
-            immediate: "Future[dict[str, Any]]" = Future()
-            immediate.set_result(self._response(parsed, fragment, cache_hit=True))
-            return immediate
-        return self.executor.submit(
-            parsed, timeout=parsed.timeout, label=parsed.algorithm
-        )
-
-    def submit(self, payload: Mapping[str, Any]) -> "Future[dict[str, Any]]":
-        """Parse a request and return a future for its response.
-
-        Parse errors raise synchronously; see :meth:`submit_parsed` for
-        the dispatch semantics.
-        """
-        return self.submit_parsed(self.parse_request(payload))
 
     def _await(
         self, parsed: ParsedRequest, future: "Future[dict[str, Any]]"
@@ -534,18 +569,35 @@ class SchedulingService:
             return self._degraded_response(parsed, exc)
 
     def solve(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """Blocking solve of one request payload; returns the response."""
+        """Blocking solve of one request payload; returns the response.
+
+        A cache hit answers on the intake thread without decoding the
+        problem; a miss decodes it and goes through the bounded executor
+        (which may raise :class:`ServiceOverloadedError` right here).
+        """
         started = time.monotonic()
         try:
-            parsed = self.parse_request(payload)
-            return self._await(parsed, self.submit_parsed(parsed))
+            keyed = self.parse_head(payload)
+            self._reject_if_draining()
+            hit = self.lookup(keyed)
+            if hit is not None:
+                return hit
+            parsed = self.complete(keyed)
+            future = self.executor.submit(
+                parsed, timeout=parsed.timeout, label=parsed.algorithm
+            )
+            return self._await(parsed, future)
         finally:
             self._observe(time.monotonic() - started)
 
     def solve_batch(self, payloads: Any) -> list[dict[str, Any]]:
         """Solve a batch; responses in input order, errors captured per item.
 
-        Two batch-only optimizations run before dispatch:
+        Each distinct problem payload is hashed once
+        (:meth:`parse_heads`), every distinct key is probed in the cache,
+        and each distinct problem among the misses is decoded once and
+        shared by its items.  Two batch-only optimizations run before
+        dispatch:
 
         * **Dedupe** — items with an identical request key (same problem,
           algorithm, knobs *and* budget) are solved once; duplicates
@@ -564,45 +616,48 @@ class SchedulingService:
         started = time.monotonic()
         total = len(payloads)
         responses: list[dict[str, Any] | None] = [None] * total
-        parsed_items: list[ParsedRequest | None] = [None] * total
         first_seen: dict[RequestKey, int] = {}
         duplicates: list[tuple[int, int]] = []  # (position, first occurrence)
-        distinct: list[int] = []
-        for idx, item in enumerate(payloads):
-            try:
-                parsed = self.parse_request(item)
-            except Exception as exc:  # per-item isolation
-                responses[idx] = error_payload(exc)
+        misses: list[tuple[int, KeyedRequest]] = []
+        for idx, keyed in enumerate(self.parse_heads(payloads)):
+            if isinstance(keyed, Exception):
+                responses[idx] = error_payload(keyed)
                 continue
-            parsed_items[idx] = parsed
-            first = first_seen.setdefault(parsed.key, idx)
+            first = first_seen.setdefault(keyed.key, idx)
             if first != idx:
                 duplicates.append((idx, first))
-            else:
-                distinct.append(idx)
-
-        # Dispatch distinct items: cache hits answer inline; misses whose
-        # scheduler can batch are grouped by (workflow, algorithm, knobs,
-        # timeout); the rest go through the normal one-job-per-item path.
-        singles: list[int] = []
-        groups: dict[tuple[str, str, str, float | None], list[int]] = {}
-        for idx in distinct:
-            parsed = parsed_items[idx]
-            assert parsed is not None
+                continue
             try:
-                if self._draining:
-                    raise ServiceOverloadedError(
-                        self.executor.queue_capacity,
-                        reason="service is draining: in-flight jobs are "
-                        "finishing, new requests are rejected",
-                    )
-                fragment = self.cache.get(parsed.key)
+                self._reject_if_draining()
+                hit = self.lookup(keyed)
             except Exception as exc:
                 responses[idx] = error_payload(exc)
                 continue
-            if fragment is not None:
-                responses[idx] = self._response(parsed, fragment, cache_hit=True)
+            if hit is not None:
+                responses[idx] = hit
+            else:
+                misses.append((idx, keyed))
+
+        # Decode each distinct problem once; a decode error fails only the
+        # items carrying that problem.  Misses whose scheduler can batch
+        # are grouped by (workflow, algorithm, knobs, timeout); the rest
+        # go through the normal one-job-per-item path.
+        problems: dict[str, MedCCProblem | Exception] = {}
+        parsed_items: dict[int, ParsedRequest] = {}
+        singles: list[int] = []
+        groups: dict[tuple[str, str, str, float | None], list[int]] = {}
+        for idx, keyed in misses:
+            digest = keyed.key.problem_hash
+            if digest not in problems:
+                try:
+                    problems[digest] = codec.decode_problem(keyed.problem_payload)
+                except Exception as exc:  # lint: ignore[RS602] - recorded per item below
+                    problems[digest] = exc
+            problem = problems[digest]
+            if isinstance(problem, Exception):
+                responses[idx] = error_payload(problem)
                 continue
+            parsed = parsed_items[idx] = self.complete(keyed, problem=problem)
             if getattr(parsed.scheduler, "solve_batch", None) is not None:
                 groups.setdefault(batch_group_key(parsed), []).append(idx)
             else:
@@ -615,9 +670,7 @@ class SchedulingService:
                 singles.extend(members)
                 continue
             items = [parsed_items[i] for i in members]
-            assert all(item is not None for item in items)
             head = items[0]
-            assert head is not None
             try:
                 future = self.executor.submit(
                     _BatchSolveJob(items=items),  # type: ignore[arg-type]
@@ -634,7 +687,6 @@ class SchedulingService:
         single_futures: list[tuple[int, "Future[dict[str, Any]]"]] = []
         for idx in singles:
             parsed = parsed_items[idx]
-            assert parsed is not None
             try:
                 future = self.executor.submit(
                     parsed, timeout=parsed.timeout, label=parsed.algorithm
@@ -646,7 +698,6 @@ class SchedulingService:
 
         for idx, future in single_futures:
             parsed = parsed_items[idx]
-            assert parsed is not None
             try:
                 responses[idx] = self._await(parsed, future)
             except Exception as exc:
@@ -658,7 +709,6 @@ class SchedulingService:
             except Exception as exc:
                 for i in members:
                     parsed = parsed_items[i]
-                    assert parsed is not None
                     if isinstance(exc, ServiceTimeoutError) and self.degrade_on_timeout:
                         try:
                             responses[i] = self._degraded_response(parsed, exc)
@@ -689,14 +739,6 @@ class SchedulingService:
     # ------------------------------------------------------------------ #
     # Live workflows (stateful mid-flight re-optimization)
     # ------------------------------------------------------------------ #
-
-    def _reject_if_draining(self) -> None:
-        if self._draining:
-            raise ServiceOverloadedError(
-                self.executor.queue_capacity,
-                reason="service is draining: in-flight jobs are finishing, "
-                "new requests are rejected",
-            )
 
     def register_workflow(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """``POST /v1/workflows``: register (or idempotently re-register).

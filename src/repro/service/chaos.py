@@ -75,6 +75,7 @@ class _ChaosHandler(BaseHTTPRequestHandler):
     """Relays one request to the upstream, applying the decided faults."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # see ServiceRequestHandler
 
     @property
     def proxy(self) -> "ChaosProxy":

@@ -111,6 +111,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body go out in two writes, and without it
+    # Nagle holds the body until the client's delayed ACK (~40 ms per
+    # reply on a kept-alive connection).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> SchedulingService:

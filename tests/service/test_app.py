@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceError
+from repro.service import app as app_module
+from repro.service import codec
 from repro.service.app import DEFAULT_ALGORITHM, SchedulingService, error_payload
 from repro.service.codec import dumps
 
@@ -22,52 +24,75 @@ def service():
         yield svc
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Live counts of the service's problem decodes and problem hashes."""
+    counts = {"decode": 0, "hash": 0}
+    decode, digest = codec.decode_problem, app_module.problem_hash
+
+    def counting_decode(payload):
+        counts["decode"] += 1
+        return decode(payload)
+
+    def counting_hash(payload):
+        counts["hash"] += 1
+        return digest(payload)
+
+    monkeypatch.setattr(codec, "decode_problem", counting_decode)
+    monkeypatch.setattr(app_module, "problem_hash", counting_hash)
+    return counts
+
+
 class TestParseRequest:
     def test_defaults(self, service, request_payload):
-        parsed = service.parse_request(request_payload)
+        parsed = service.complete(service.parse_head(request_payload))
         assert parsed.algorithm == DEFAULT_ALGORITHM
         assert parsed.budget == 57.0
         assert parsed.timeout is None
+        assert parsed.problem.workflow.num_modules == 8
 
     def test_missing_problem_rejected(self, service):
         with pytest.raises(ServiceError, match="problem"):
-            service.parse_request({"budget": 57.0})
+            service.parse_head({"budget": 57.0})
 
     def test_missing_budget_rejected(self, service, request_payload):
         del request_payload["budget"]
         with pytest.raises(ServiceError, match="budget"):
-            service.parse_request(request_payload)
+            service.parse_head(request_payload)
 
     def test_non_numeric_budget_rejected(self, service, request_payload):
         request_payload["budget"] = "plenty"
         with pytest.raises(ServiceError, match="budget must be a number"):
-            service.parse_request(request_payload)
+            service.parse_head(request_payload)
 
     def test_unknown_param_rejected(self, service, request_payload):
         request_payload["params"] = {"warp_factor": 9}
         with pytest.raises(ServiceError, match="warp_factor"):
-            service.parse_request(request_payload)
+            service.parse_head(request_payload)
 
     def test_explicit_default_param_hits_same_key(self, service, request_payload):
-        bare = service.parse_request(request_payload)
+        bare = service.parse_head(request_payload)
         request_payload["params"] = {"engine": "incremental"}
-        explicit = service.parse_request(request_payload)
+        explicit = service.parse_head(request_payload)
         assert bare.key == explicit.key
 
     def test_different_param_changes_key(self, service, request_payload):
-        bare = service.parse_request(request_payload)
+        bare = service.parse_head(request_payload)
         request_payload["params"] = {"engine": "reference"}
-        other = service.parse_request(request_payload)
+        other = service.parse_head(request_payload)
         assert bare.key != other.key
 
 
 class TestMemoization:
-    def test_second_solve_is_cache_hit(self, service, request_payload):
+    def test_second_solve_is_cache_hit(self, service, request_payload, calls):
         first = service.solve(request_payload)
+        assert calls == {"decode": 1, "hash": 1}
         second = service.solve(request_payload)
         assert first["status"] == "ok" and first["cache_hit"] is False
         assert second["cache_hit"] is True
         assert dumps(first["result"]) == dumps(second["result"])
+        # the hit is answered from the key alone: hashed, never decoded
+        assert calls == {"decode": 1, "hash": 2}
 
     def test_permuted_request_is_cache_hit(self, service, request_payload):
         first = service.solve(request_payload)
@@ -141,15 +166,60 @@ class TestBatchDedupeAndGrouping:
         }
 
     def test_grouped_responses_identical_to_serial_service(
-        self, service, request_payload
+        self, service, request_payload, calls
     ):
-        budgets = [48.0, 57.0, 64.0]
+        budgets = [48.0 + 16.0 * i / 15 for i in range(16)]  # over [Cmin, Cmax]
+        # a JSON round trip gives each item its own (equal) problem dict,
+        # as an HTTP body does
         batch = service.solve_batch(
-            [dict(request_payload, budget=b) for b in budgets]
+            json.loads(json.dumps([dict(request_payload, budget=b) for b in budgets]))
         )
+        assert calls == {"decode": 1, "hash": 1}
         with SchedulingService(max_workers=2, queue_size=8, cache_size=32) as solo:
             serial = [solo.solve(dict(request_payload, budget=b)) for b in budgets]
         assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
+
+    def test_two_workflow_batch_decodes_each_once(
+        self, service, request_payload, wrf_problem, calls
+    ):
+        other = {"problem": problem_to_dict(wrf_problem)}
+        payloads = [dict(request_payload, budget=b) for b in (52.0, 57.0, 64.0)]
+        payloads += [dict(other, budget=b) for b in (150.0, 180.0, 240.0)]
+        responses = service.solve_batch(payloads)
+        assert [r["status"] for r in responses] == ["ok"] * 6
+        assert calls == {"decode": 2, "hash": 2}
+        assert service.stats()["batch"]["grouped_runs"] == 2
+
+    def test_int_valued_problem_keeps_its_own_hash(self, service, request_payload):
+        # ``1`` and ``1.0`` are == in Python but render differently in the
+        # canonical hash, so the neighbour's digest must not be reused.
+        as_int = json.loads(json.dumps(request_payload))
+        module = as_int["problem"]["workflow"]["modules"][1]
+        module["workload"] = int(module["workload"])
+        assert as_int["problem"] == request_payload["problem"]
+        payloads = [dict(request_payload, budget=57.0), dict(as_int, budget=60.0)]
+        batch = service.solve_batch(payloads)
+        assert batch[0]["problem_hash"] != batch[1]["problem_hash"]
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=32) as solo:
+            serial = [solo.solve(p) for p in payloads]
+        assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
+
+    def test_undecodable_item_fails_alone(self, service, request_payload, calls):
+        broken = json.loads(json.dumps(request_payload))
+        broken["problem"]["workflow"]["edges"].append(
+            {"src": "w1", "dst": "w9", "data_size": 1.0}
+        )
+        batch = [
+            dict(request_payload, budget=52.0),
+            dict(broken, budget=57.0),
+            dict(request_payload, budget=60.0),
+            dict(broken, budget=64.0),
+        ]
+        responses = service.solve_batch(batch)
+        assert [r["status"] for r in responses] == ["ok", "error", "ok", "error"]
+        assert responses[1]["error"]["kind"] == "bad_request"
+        assert "unknown module 'w9'" in responses[3]["error"]["message"]
+        assert calls == {"decode": 2, "hash": 2}
 
     def test_second_batch_is_all_cache_hits(self, service, request_payload):
         payloads = [dict(request_payload, budget=b) for b in (48.0, 57.0, 64.0)]
@@ -226,6 +296,15 @@ class TestStats:
         assert stats["request_latency_p50"] is not None
         assert stats["executor"]["queue_capacity"] == 8
         assert stats["uptime"] >= 0
+
+    def test_hit_then_miss_probes_once_each(self, service, request_payload):
+        service.solve(request_payload)  # miss
+        service.solve(request_payload)  # hit
+        service.solve(dict(request_payload, budget=64.0))  # miss
+        payloads = [dict(request_payload, budget=b) for b in (57.0, 60.0, 60.0)]
+        service.solve_batch(payloads)  # hit, miss, deduped
+        cache = service.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (2, 3)
 
 
 class TestErrorPayload:

@@ -1,8 +1,12 @@
 """HTTP front-end tests against an in-process threaded server."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -96,6 +100,24 @@ class TestRoutes:
         response = client.solve(dict(request_payload, budget=0.01))
         assert response["status"] == "error"
         assert response["error"]["kind"] == "infeasible_budget"
+
+    def test_kept_alive_replies_do_not_wait_for_delayed_ack(self, served):
+        # Without TCP_NODELAY each reply's body waits ~40 ms for the
+        # client's delayed ACK of the headers.
+        _, client = served
+        port = urllib.parse.urlsplit(client.base_url).port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(15):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/healthz")
+                reply = conn.getresponse()
+                assert json.loads(reply.read()) == {"status": "ok"}
+                round_trips.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.020
 
 
 class TestOverload:

@@ -10,8 +10,8 @@ path.  One request flows::
 * ``parse_head`` validates and hashes on the loop **without decoding**
   the problem payload; coalesced duplicates therefore pay one decode
   (the flight leader's) instead of N.
-* The decode itself is memoized in a small ``problem_hash``-keyed LRU so
-  a budget sweep over one workflow decodes its DAG once.
+* Hash and decode go through the service's exact-payload problem memo,
+  so a budget sweep over one workflow hashes and decodes its DAG once.
 * Solver work runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
   guarded by the same admission accounting as the threaded
   :class:`~repro.service.executor.JobExecutor` (shared
@@ -31,16 +31,13 @@ be shared between coalesced waiters — treat them as immutable.
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import AsyncIterator, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro.core.problem import MedCCProblem
 from repro.exceptions import ServiceError, ServiceOverloadedError, ServiceTimeoutError
-from repro.service import codec
 from repro.service.app import (
     KeyedRequest,
     SchedulingService,
@@ -76,8 +73,6 @@ class AsyncServiceCore:
         Micro-batching knobs (seconds / items); ``batch_window=0`` or
         ``batch_max=1`` disables grouping and sends every miss straight
         to the pool.
-    problem_cache:
-        Capacity of the decoded-problem LRU (distinct workflows).
     lag_interval:
         Sampling period of the loop-lag monitor, seconds.
     """
@@ -91,7 +86,6 @@ class AsyncServiceCore:
         default_timeout: float | None = None,
         batch_window: float = 0.002,
         batch_max: int = 32,
-        problem_cache: int = 32,
         lag_interval: float = 0.25,
         record_limit: int = 1024,
     ) -> None:
@@ -114,10 +108,6 @@ class AsyncServiceCore:
         self.batcher = MicroBatcher(
             self._run_group, window=batch_window, batch_max=batch_max
         )
-        # Decoded-problem LRU, shared with pool threads (hence the lock).
-        self._problems: "OrderedDict[str, MedCCProblem]" = OrderedDict()
-        self._problems_cap = max(1, int(problem_cache))
-        self._problems_lock = threading.Lock()
         # Job accounting (mutated on the loop thread only).
         self._counts = new_job_counts()
         self._active = 0
@@ -271,44 +261,25 @@ class AsyncServiceCore:
     # Pool-thread bodies (never run on the loop)
     # ------------------------------------------------------------------ #
 
-    def _decoded(self, keyed: KeyedRequest) -> MedCCProblem:
-        """The decoded problem for a request, via the content-hash LRU."""
-        digest = keyed.key.problem_hash
-        with self._problems_lock:
-            problem = self._problems.get(digest)
-            if problem is not None:
-                self._problems.move_to_end(digest)
-                return problem
-        problem = codec.decode_problem(keyed.problem_payload)
-        with self._problems_lock:
-            self._problems[digest] = problem
-            self._problems.move_to_end(digest)
-            while len(self._problems) > self._problems_cap:
-                self._problems.popitem(last=False)
-        return problem
-
     def _solve_single_sync(self, keyed: KeyedRequest) -> dict[str, Any]:
-        parsed = self.service.complete(keyed, problem=self._decoded(keyed))
-        return self.service._solve_job(parsed)
+        return self.service._solve_job(self.service.complete(keyed))
 
     def _solve_group_sync(
         self, items: Sequence[KeyedRequest]
     ) -> list[tuple[str, Any]]:
-        """One window drain: decode once, solve the budget axis as a batch."""
+        """One window drain: solve the budget axis as a batch."""
         if len(items) == 1:
             try:
                 return [("ok", self._solve_single_sync(items[0]))]
             except Exception as exc:  # lint: ignore[RS602] - outcome fans back to the waiter
                 return [("error", exc)]
-        problem = self._decoded(items[0])
-        parsed = [self.service.complete(keyed, problem=problem) for keyed in items]
+        parsed = [self.service.complete(keyed) for keyed in items]
         return self.service.solve_group_outcomes(parsed)
 
     def _degraded_sync(
         self, keyed: KeyedRequest, exc: ServiceTimeoutError
     ) -> dict[str, Any]:
-        parsed = self.service.complete(keyed, problem=self._decoded(keyed))
-        return self.service._degraded_response(parsed, exc)
+        return self.service._degraded_response(self.service.complete(keyed), exc)
 
     async def _run_group(
         self, items: Sequence[KeyedRequest]
@@ -332,8 +303,7 @@ class AsyncServiceCore:
         the response streams back while later slots still converge.
         Items whose request key already appeared earlier in the batch
         copy the first occurrence's response with ``deduped: true``,
-        exactly like the threaded endpoint, and each distinct problem
-        payload is hashed once (:meth:`SchedulingService.parse_heads`).
+        exactly like the threaded endpoint.
         """
         if not isinstance(payloads, (list, tuple)):
             raise ServiceError("'requests' must be an array of solve requests")
@@ -414,8 +384,6 @@ class AsyncServiceCore:
             "queue_capacity": self._queue_size,
         }
         lag = list(self._lag_samples)
-        with self._problems_lock:
-            problem_cache_size = len(self._problems)
         data["aio"] = {
             "coalesced": self.flights.coalesced,
             "flights_started": self.flights.flights_started,
@@ -431,6 +399,5 @@ class AsyncServiceCore:
             "batch_max": self.batcher.batch_max,
             "loop_lag_p50": percentile(lag, 50),
             "loop_lag_p95": percentile(lag, 95),
-            "problem_cache_size": problem_cache_size,
         }
         return data

@@ -17,10 +17,13 @@ front-end (:mod:`repro.service.http`) and the ``repro submit`` client:
 4. ``stats()`` aggregates cache hit-rate, executor counters and p50/p95
    latencies for ``GET /v1/stats``.
 
-A batch (:meth:`~SchedulingService.solve_batch`) hashes each distinct
-problem payload once (:meth:`~SchedulingService.parse_heads`), probes
-the cache for every distinct key, and decodes each distinct problem
-among the misses once.
+The hash (step 1) and the decode (step 3) are memoized per exact
+problem payload: a bounded LRU of :data:`PROBLEM_MEMO_SIZE` entries maps
+the payload's fingerprint to its ``problem_hash`` and, once decoded, its
+:class:`MedCCProblem`, whose cached ``GraphIndex`` and matrices then
+carry over to later solves.  A workflow resubmitted at another budget is
+neither re-hashed nor re-decoded, on the threaded front end, in a batch
+(:meth:`~SchedulingService.solve_batch`) and in the asyncio core alike.
 
 Fabric lifecycle (see ``docs/service.md`` "Resilience & multi-node"):
 :attr:`SchedulingService.ready` distinguishes readiness from liveness
@@ -34,10 +37,11 @@ marked ``degraded: true`` instead of a 504.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import marshal
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Mapping, Sequence
 from concurrent.futures import Future
 from typing import Any
@@ -74,6 +78,10 @@ __all__ = [
 #: Algorithm used when a request does not name one.
 DEFAULT_ALGORITHM = "critical-greedy"
 
+#: Distinct exact problem payloads whose hash and decode are memoized.
+#: A paper-scale problem retains about 1 MiB once decoded.
+PROBLEM_MEMO_SIZE = 32
+
 
 @dataclasses.dataclass
 class ParsedRequest:
@@ -98,7 +106,8 @@ class KeyedRequest:
     on :attr:`key` straight from the hash, so N coalesced duplicates pay
     for one decode (the flight leader's) instead of N.
     :meth:`SchedulingService.complete` upgrades this to a
-    :class:`ParsedRequest`.
+    :class:`ParsedRequest`, decoding only if :attr:`entry` holds no
+    problem yet.
     """
 
     problem_payload: Mapping[str, Any]
@@ -107,6 +116,7 @@ class KeyedRequest:
     budget: float
     timeout: float | None
     key: RequestKey
+    entry: "_ProblemEntry"
 
 
 def batch_group_key(parsed: "ParsedRequest | KeyedRequest") -> tuple[str, str, str, float | None]:
@@ -125,22 +135,91 @@ def batch_group_key(parsed: "ParsedRequest | KeyedRequest") -> tuple[str, str, s
     )
 
 
-def _problem_fingerprint(payload: Any) -> bytes | None:
-    """Exact bytes of a request's problem payload, or ``None``.
+def _problem_fingerprint(problem_payload: Any) -> bytes | None:
+    """sha256 of a problem payload's exact ``marshal`` bytes, or ``None``.
 
     Equal bytes prove two payloads identical down to their value types:
     ``marshal`` keeps ``1``, ``1.0`` and ``true`` apart, which ``==``
     does not and :func:`~repro.service.keys.problem_hash` renders
-    differently.  Identical payloads may still marshal differently
+    differently, and it keeps list order, so a permuted catalog gets its
+    own entry.  Identical payloads may still marshal differently
     (another key order, shared strings); that only costs a re-hash.
     """
-    problem = payload.get("problem") if isinstance(payload, Mapping) else None
-    if not isinstance(problem, dict):
+    if not isinstance(problem_payload, dict):
         return None
     try:
-        return marshal.dumps(problem)
+        return hashlib.sha256(marshal.dumps(problem_payload)).digest()
     except ValueError:  # a value marshal cannot encode: just hash it
         return None
+
+
+class _ProblemEntry:
+    """One memoized payload: its ``problem_hash`` and, once decoded, its problem."""
+
+    __slots__ = ("problem_hash", "problem")
+
+    def __init__(self, digest: str) -> None:
+        self.problem_hash = digest
+        self.problem: MedCCProblem | None = None
+
+
+class _ProblemMemo:
+    """Thread-safe LRU of exact problem payloads (see :func:`_problem_fingerprint`).
+
+    Only successful hashes and decodes are stored, so a bad payload fails
+    the same way every time.  A payload that ``marshal`` rejects gets a
+    fresh entry that is never stored: it is hashed and decoded per request.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._entries: OrderedDict[bytes, _ProblemEntry] = OrderedDict()
+        self._capacity = capacity
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(
+            ("hash_hits", "hash_misses", "decode_hits", "decode_misses"), 0
+        )
+
+    def entry(self, problem_payload: Mapping[str, Any]) -> _ProblemEntry:
+        """The payload's entry, hashing it only on a miss."""
+        fingerprint = _problem_fingerprint(problem_payload)
+        with self._lock:
+            entry = None if fingerprint is None else self._entries.get(fingerprint)
+            if entry is not None:
+                self._entries.move_to_end(fingerprint)
+                self._counts["hash_hits"] += 1
+                return entry
+            self._counts["hash_misses"] += 1
+        entry = _ProblemEntry(problem_hash(problem_payload))
+        if fingerprint is not None:
+            with self._lock:
+                entry = self._entries.setdefault(fingerprint, entry)
+                self._entries.move_to_end(fingerprint)
+                while len(self._entries) > self._capacity:
+                    self._entries.popitem(last=False)
+        return entry
+
+    def problem(self, keyed: KeyedRequest) -> MedCCProblem:
+        """The request's decoded problem, decoding only if its entry has none."""
+        entry = keyed.entry
+        with self._lock:
+            problem = entry.problem
+            self._counts["decode_hits" if problem is not None else "decode_misses"] += 1
+        if problem is not None:
+            return problem
+        problem = codec.decode_problem(keyed.problem_payload)
+        with self._lock:
+            # Concurrent first decodes all converge on the first one stored.
+            if entry.problem is None:
+                entry.problem = problem
+            return entry.problem
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "decoded": sum(e.problem is not None for e in self._entries.values()),
+                **self._counts,
+            }
 
 
 @dataclasses.dataclass
@@ -267,6 +346,7 @@ class SchedulingService:
         self._batch_deduped = 0
         self._batch_grouped_items = 0
         self._batch_grouped_runs = 0
+        self._problems = _ProblemMemo(PROBLEM_MEMO_SIZE)
 
     @staticmethod
     def _annotate_record(response: Mapping[str, Any]) -> dict[str, Any]:
@@ -287,9 +367,7 @@ class SchedulingService:
     # Request parsing
     # ------------------------------------------------------------------ #
 
-    def parse_head(
-        self, payload: Mapping[str, Any], *, problem_digest: str | None = None
-    ) -> KeyedRequest:
+    def parse_head(self, payload: Mapping[str, Any]) -> KeyedRequest:
         """Validate a request and compute its key, deferring the decode.
 
         Request shape::
@@ -304,12 +382,10 @@ class SchedulingService:
             }
 
         Everything except :func:`codec.decode_problem` runs here: field
-        validation, scheduler configuration, and the content hash.  Both
-        front ends probe the cache on the returned key before paying for
-        the decode; :meth:`complete` finishes the job.
-        ``problem_digest`` is the ``problem_hash`` of a payload already
-        proven identical to this one (see :meth:`parse_heads`); it skips
-        the hash.
+        validation, scheduler configuration, and the content hash (skipped
+        when the exact payload is memoized).  Both front ends probe the
+        cache on the returned key before paying for the decode;
+        :meth:`complete` finishes the job.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
@@ -355,14 +431,11 @@ class SchedulingService:
                     f"timeout must be a number, got {timeout!r}"
                 ) from None
 
+        entry = self._problems.entry(problem_payload)
         # Hash the *full* effective knob set (not just the client-supplied
         # subset) so explicit defaults and omitted defaults collide.
         key = RequestKey(
-            problem_hash=(
-                problem_digest
-                if problem_digest is not None
-                else problem_hash(problem_payload)
-            ),
+            problem_hash=entry.problem_hash,
             algorithm=algorithm,
             params_hash=params_hash(algorithm, budget, declared_params(scheduler)),
         )
@@ -373,48 +446,34 @@ class SchedulingService:
             budget=budget,
             timeout=timeout,
             key=key,
+            entry=entry,
         )
 
     def parse_heads(self, payloads: Sequence[Any]) -> list["KeyedRequest | Exception"]:
-        """:meth:`parse_head` for each batch item, hashing each distinct problem once.
+        """:meth:`parse_head` for each batch item, failures in place.
 
-        An item reuses an earlier item's ``problem_hash`` only when its
-        problem payload marshals to the same bytes
-        (:func:`_problem_fingerprint`); otherwise it is hashed.  A
-        failing item's exception takes its slot, so it fails alone.
+        A failing item's exception takes its slot, so it fails alone.
         Serves both the threaded ``/v1/solve_batch`` and the asyncio
         batch stream.
         """
-        digests: dict[bytes, str] = {}
         heads: list[KeyedRequest | Exception] = []
         for payload in payloads:
-            fingerprint = _problem_fingerprint(payload)
-            digest = None if fingerprint is None else digests.get(fingerprint)
             try:
-                keyed = self.parse_head(payload, problem_digest=digest)
+                heads.append(self.parse_head(payload))
             except Exception as exc:  # lint: ignore[RS602] - per-item isolation
                 heads.append(exc)
-                continue
-            if fingerprint is not None:
-                digests[fingerprint] = keyed.key.problem_hash
-            heads.append(keyed)
         return heads
 
-    @staticmethod
-    def complete(
-        keyed: KeyedRequest, *, problem: MedCCProblem | None = None
-    ) -> ParsedRequest:
-        """Upgrade a :class:`KeyedRequest` by decoding its problem payload.
+    def complete(self, keyed: KeyedRequest) -> ParsedRequest:
+        """Upgrade a :class:`KeyedRequest` to a :class:`ParsedRequest`.
 
-        ``problem`` short-circuits the decode when the caller already
-        holds the decoded instance for this payload's content hash (the
-        asyncio core keeps a small ``problem_hash``-keyed LRU so a budget
-        sweep over one workflow decodes it once).
+        The problem is decoded only when the exact payload's memo entry
+        holds none yet, so a workflow solved at many budgets is decoded
+        once.  Decoded problems may be shared across threads; they are
+        never mutated.
         """
-        if problem is None:
-            problem = codec.decode_problem(keyed.problem_payload)
         return ParsedRequest(
-            problem=problem,
+            problem=self._problems.problem(keyed),
             scheduler=keyed.scheduler,
             algorithm=keyed.algorithm,
             budget=keyed.budget,
@@ -462,7 +521,24 @@ class SchedulingService:
         cannot fail its groupmates.  Shared by the threaded
         ``/v1/solve_batch`` grouping and the asyncio micro-batcher, which
         maps ``"error"`` outcomes back onto individual waiters.
+
+        Members share a ``problem_hash`` but may carry different payloads
+        (say, a permuted catalog).  A schedule indexes its own problem's
+        catalog, so each distinct decoded problem is solved in its own pass.
         """
+        runs: dict[int, list[int]] = {}
+        for i, parsed in enumerate(items):
+            runs.setdefault(id(parsed.problem), []).append(i)
+        outcomes: dict[int, tuple[str, Any]] = {}
+        for members in runs.values():
+            solved = self._solve_same_problem([items[i] for i in members])
+            outcomes.update(zip(members, solved))
+        return [outcomes[i] for i in range(len(items))]
+
+    def _solve_same_problem(
+        self, items: Sequence[ParsedRequest]
+    ) -> list[tuple[str, Any]]:
+        """:meth:`solve_group_outcomes` for items sharing one decoded problem."""
         first = items[0]
         budgets = [parsed.budget for parsed in items]
         try:
@@ -593,11 +669,9 @@ class SchedulingService:
     def solve_batch(self, payloads: Any) -> list[dict[str, Any]]:
         """Solve a batch; responses in input order, errors captured per item.
 
-        Each distinct problem payload is hashed once
-        (:meth:`parse_heads`), every distinct key is probed in the cache,
-        and each distinct problem among the misses is decoded once and
-        shared by its items.  Two batch-only optimizations run before
-        dispatch:
+        Each distinct problem payload is hashed and decoded at most once
+        (the problem memo), and every distinct key is probed in the cache.
+        Two batch-only optimizations run before dispatch:
 
         * **Dedupe** — items with an identical request key (same problem,
           algorithm, knobs *and* budget) are solved once; duplicates
@@ -638,26 +712,25 @@ class SchedulingService:
             else:
                 misses.append((idx, keyed))
 
-        # Decode each distinct problem once; a decode error fails only the
-        # items carrying that problem.  Misses whose scheduler can batch
-        # are grouped by (workflow, algorithm, knobs, timeout); the rest
-        # go through the normal one-job-per-item path.
-        problems: dict[str, MedCCProblem | Exception] = {}
+        # Decode through the memo; a decode error fails only the items
+        # carrying that payload, and is not retried within the batch.
+        # Misses whose scheduler can batch are grouped by (workflow,
+        # algorithm, knobs, timeout); the rest go through the normal
+        # one-job-per-item path.
+        decode_errors: dict[_ProblemEntry, Exception] = {}
         parsed_items: dict[int, ParsedRequest] = {}
         singles: list[int] = []
         groups: dict[tuple[str, str, str, float | None], list[int]] = {}
         for idx, keyed in misses:
-            digest = keyed.key.problem_hash
-            if digest not in problems:
+            error = decode_errors.get(keyed.entry)
+            if error is None:
                 try:
-                    problems[digest] = codec.decode_problem(keyed.problem_payload)
-                except Exception as exc:  # lint: ignore[RS602] - recorded per item below
-                    problems[digest] = exc
-            problem = problems[digest]
-            if isinstance(problem, Exception):
-                responses[idx] = error_payload(problem)
+                    parsed = parsed_items[idx] = self.complete(keyed)
+                except Exception as exc:  # lint: ignore[RS602] - recorded per item
+                    error = decode_errors[keyed.entry] = exc
+            if error is not None:
+                responses[idx] = error_payload(error)
                 continue
-            parsed = parsed_items[idx] = self.complete(keyed, problem=problem)
             if getattr(parsed.scheduler, "solve_batch", None) is not None:
                 groups.setdefault(batch_group_key(parsed), []).append(idx)
             else:
@@ -817,6 +890,7 @@ class SchedulingService:
             "cache": self.cache.stats().to_dict(),
             "executor": self.executor.stats(),
             "live": self.live.stats(),
+            "problems": self._problems.stats(),
             "request_latency_p50": percentile(latencies, 50),
             "request_latency_p95": percentile(latencies, 95),
         }

@@ -1,12 +1,16 @@
 """End-to-end service smoke test (the CI ``service-smoke`` job).
 
-Launches ``repro serve`` as a real subprocess on an ephemeral port,
-submits the example workload twice — the second time with the module list
-*and* the VM-type catalog permuted — and asserts:
+Launches ``repro serve`` (or ``repro serve --async`` with ``--async``) as
+a real subprocess on an ephemeral port, submits the example workload
+twice — the second time with the module list *and* the VM-type catalog
+permuted — then the unpermuted workload at a new budget, and asserts:
 
-* both responses carry valid, budget-respecting schedules;
+* every response carries a valid, budget-respecting schedule;
 * the second response is a cache hit with a byte-identical schedule
   payload (canonical hashing defeated the permutation);
+* the third response is a miss, byte-identical to an in-process
+  :class:`~repro.service.app.SchedulingService` solve, and reused the
+  first request's decoded problem (``problems.decode_hits >= 1``);
 * ``/v1/stats`` reports at least one hit and one miss.
 
 The final ``/v1/stats`` body is written to ``--out`` so CI can upload it
@@ -15,6 +19,7 @@ as an artifact.  Exits non-zero on any violated assertion.
 Usage::
 
     python -m repro.service.smoke --out service_stats.json
+    python -m repro.service.smoke --async --out service_stats_async.json
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Any
 
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceError
+from repro.service.app import SchedulingService
 from repro.service.codec import dumps
 from repro.service.http import ServiceClient
 
@@ -56,11 +62,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.service.smoke")
     parser.add_argument("--out", default="service_stats.json")
     parser.add_argument("--budget", type=float, default=57.0)
+    parser.add_argument(
+        "--async",
+        dest="use_async",
+        action="store_true",
+        help="boot the asyncio front end (repro serve --async)",
+    )
     parser.add_argument("--startup-timeout", type=float, default=30.0)
     args = parser.parse_args(argv)
 
+    command = [sys.executable, "-m", "repro", "serve", "--port", "0"]
+    if args.use_async:
+        command.append("--async")
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        command,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -116,16 +131,32 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"  first:  {first_schedule}\n  second: {second_schedule}"
             )
 
+        new_request = {"problem": payload, "budget": args.budget + 1.0}
+        third = client.solve(new_request)
+        if third.get("status") != "ok" or third.get("cache_hit") is not False:
+            return _fail(f"solve at a new budget should be an ok miss: {third}")
+        with SchedulingService(max_workers=1) as local:
+            expected = local.solve(new_request)
+        if dumps(third) != dumps(expected):
+            return _fail(
+                "miss on the memoized problem differs from an in-process solve:\n"
+                f"  served:     {dumps(third)}\n  in-process: {dumps(expected)}"
+            )
+
         stats = client.stats()["stats"]
         cache = stats["cache"]
         if cache["hits"] < 1 or cache["misses"] < 1:
             return _fail(f"expected >=1 hit and >=1 miss, got {cache}")
+        if stats["problems"]["decode_hits"] < 1:
+            return _fail(
+                f"the new budget decoded its problem again: {stats['problems']}"
+            )
 
         with open(args.out, "w") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
         print(
-            f"SMOKE OK: miss+hit verified, schedule payload byte-identical; "
-            f"stats written to {args.out}"
+            f"SMOKE OK: miss+hit+memoized miss verified, payloads "
+            f"byte-identical; stats written to {args.out}"
         )
         return 0
     finally:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.module import DataDependency, Module
 from repro.core.problem import MedCCProblem
+from repro.core.serialize import problem_to_dict
 from repro.core.vm import VMType, VMTypeCatalog
 from repro.core.workflow import Workflow
 from repro.workloads.example import example_problem as _example_problem
@@ -39,6 +42,24 @@ def example_problem() -> MedCCProblem:
 def wrf_problem() -> MedCCProblem:
     """The WRF testbed instance (Tables V/VI)."""
     return _wrf_problem()
+
+
+@pytest.fixture
+def twin_catalogs(example_problem) -> tuple[dict, dict]:
+    """The example's problem payload with an exact twin of the fastest type.
+
+    The first payload lists the twin ``zz_twin`` last, the second first.
+    Both have the same ``problem_hash``, but Critical-Greedy breaks the
+    twin's exact ΔT/ΔC ties by catalog position, so each must be solved on
+    its own order.
+    """
+    base = problem_to_dict(example_problem)
+    twin = dict(base["catalog"][-1], name="zz_twin")
+    first = copy.deepcopy(base)
+    first["catalog"].append(twin)
+    second = copy.deepcopy(base)
+    second["catalog"].insert(0, twin)
+    return first, second
 
 
 @pytest.fixture

@@ -55,6 +55,37 @@ class TestSolveParity:
         assert response["status"] == "ok"
         assert dumps(response["result"]) == dumps(serial["result"])
 
+    def test_permuted_twin_catalog_solves_on_its_own_order(self, twin_catalogs):
+        # Same problem_hash, other catalog order: the miss must be solved
+        # on its own payload, not on the problem decoded for the first.
+        first, second = twin_catalogs
+        with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
+            expected = fresh.solve({"problem": second, "budget": 60.0})
+
+        async def body(svc, core):
+            await core.solve({"problem": first, "budget": 57.0})
+            return await core.solve({"problem": second, "budget": 60.0})
+
+        response = run(with_core(body))
+        assert "zz_twin" in expected["result"]["schedule"]["assignment"].values()
+        assert dumps(response) == dumps(expected)
+
+    def test_permuted_twin_catalogs_in_one_window(self, twin_catalogs):
+        requests = [
+            {"problem": problem, "budget": budget}
+            for problem, budget in zip(twin_catalogs, (57.0, 60.0))
+        ]
+        with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
+            serial = [dumps(fresh.solve(r)) for r in requests]
+
+        async def body(svc, core):
+            responses = await asyncio.gather(*(core.solve(r) for r in requests))
+            return responses, core.stats()["aio"]
+
+        responses, aio = run(with_core(body, batch_window=0.05))
+        assert aio["batch_fill"] == {"2": 1}
+        assert [dumps(r) for r in responses] == serial
+
     def test_replay_is_cache_hit(self, payload):
         async def body(svc, core):
             first = await core.solve(payload)
@@ -205,12 +236,18 @@ class TestStatsShape:
             "batch_max",
             "loop_lag_p50",
             "loop_lag_p95",
-            "problem_cache_size",
         ):
             assert key in aio
         assert aio["flights_inflight"] == 0
-        assert aio["problem_cache_size"] == 1
         assert aio["loop_lag_p95"] is not None
+        assert stats["problems"] == {
+            "entries": 1,
+            "decoded": 1,
+            "hash_hits": 0,
+            "hash_misses": 1,
+            "decode_hits": 0,
+            "decode_misses": 1,
+        }
         executor = stats["executor"]
         for key in (
             "submitted",

@@ -1,6 +1,7 @@
 """SchedulingService tests: parsing, memoization, batching, stats."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -9,7 +10,12 @@ from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceError
 from repro.service import app as app_module
 from repro.service import codec
-from repro.service.app import DEFAULT_ALGORITHM, SchedulingService, error_payload
+from repro.service.app import (
+    DEFAULT_ALGORITHM,
+    PROBLEM_MEMO_SIZE,
+    SchedulingService,
+    error_payload,
+)
 from repro.service.codec import dumps
 
 
@@ -91,8 +97,9 @@ class TestMemoization:
         assert first["status"] == "ok" and first["cache_hit"] is False
         assert second["cache_hit"] is True
         assert dumps(first["result"]) == dumps(second["result"])
-        # the hit is answered from the key alone: hashed, never decoded
-        assert calls == {"decode": 1, "hash": 2}
+        # the hit is answered from the key alone, and the exact payload's
+        # hash is memoized: neither re-hashed nor decoded
+        assert calls == {"decode": 1, "hash": 1}
 
     def test_permuted_request_is_cache_hit(self, service, request_payload):
         first = service.solve(request_payload)
@@ -118,6 +125,131 @@ class TestMemoization:
     def test_incremental_is_default_engine(self, service, request_payload):
         response = service.solve(request_payload)
         assert response["result"]["engine"] == "incremental"
+
+
+class TestProblemMemo:
+    """Hash and decode are memoized per exact problem payload."""
+
+    def test_new_budgets_hash_and_decode_once(self, service, request_payload, calls):
+        for budget in (52.0, 57.0, 64.0):
+            # a JSON round trip per request, as each HTTP body gets
+            body = json.loads(json.dumps(dict(request_payload, budget=budget)))
+            assert service.solve(body)["cache_hit"] is False
+        assert calls == {"decode": 1, "hash": 1}
+        problems = service.stats()["problems"]
+        assert problems == {
+            "entries": 1,
+            "decoded": 1,
+            "hash_hits": 2,
+            "hash_misses": 1,
+            "decode_hits": 2,
+            "decode_misses": 1,
+        }
+
+    def test_permuted_payload_hashes_and_decodes_separately(
+        self, service, request_payload, calls
+    ):
+        permuted = json.loads(json.dumps(request_payload))
+        permuted["problem"]["catalog"].reverse()
+        first = service.solve(request_payload)
+        second = service.solve(dict(permuted, budget=60.0))
+        assert first["problem_hash"] == second["problem_hash"]
+        assert calls == {"decode": 2, "hash": 2}
+        assert service.stats()["problems"]["entries"] == 2
+
+    def test_least_recently_used_entry_is_evicted(self, service, request_payload, calls):
+        def variant(i):
+            body = json.loads(json.dumps(request_payload))
+            body["problem"]["workflow"]["modules"][1]["workload"] += i / 64.0
+            return body
+
+        for i in range(PROBLEM_MEMO_SIZE):
+            service.parse_head(variant(i))
+        service.parse_head(variant(0))  # a hit: variant 1 is now the oldest
+        assert calls["hash"] == PROBLEM_MEMO_SIZE
+        service.parse_head(variant(PROBLEM_MEMO_SIZE))  # the 33rd evicts variant 1
+        assert service.stats()["problems"]["entries"] == PROBLEM_MEMO_SIZE
+        service.parse_head(variant(0))
+        assert calls["hash"] == PROBLEM_MEMO_SIZE + 1
+        service.parse_head(variant(1))
+        assert calls["hash"] == PROBLEM_MEMO_SIZE + 2
+
+    def test_undecodable_payload_is_not_memoized(self, service, request_payload, calls):
+        broken = json.loads(json.dumps(request_payload))
+        broken["problem"]["workflow"]["edges"].append(
+            {"src": "w1", "dst": "w9", "data_size": 1.0}
+        )
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ServiceError) as info:
+                service.solve(broken)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "unknown module 'w9'" in messages[0]
+        assert calls == {"decode": 2, "hash": 1}
+        problems = service.stats()["problems"]
+        assert (problems["decoded"], problems["decode_misses"]) == (0, 2)
+
+    def test_unmarshallable_payload_hashes_every_time(self, service, request_payload, calls):
+        # ``marshal`` cannot encode a tuple subclass, so there is no exact
+        # fingerprint: the payload is hashed and decoded per request.
+        class Pair(tuple):
+            pass
+
+        odd = json.loads(json.dumps(request_payload))
+        odd["problem"]["workflow"]["modules"] = Pair(odd["problem"]["workflow"]["modules"])
+        service.solve(odd)
+        service.solve(dict(odd, budget=60.0))
+        assert calls == {"decode": 2, "hash": 2}
+        assert service.stats()["problems"]["entries"] == 0
+
+    def test_threads_share_one_decoded_problem(self, wrf_problem):
+        payload = {"problem": problem_to_dict(wrf_problem)}
+        budgets = [130.0 + 13.5 * i for i in range(8)]
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=32) as solo:
+            serial = [dumps(solo.solve(dict(payload, budget=b))) for b in budgets]
+
+        with SchedulingService(max_workers=8, queue_size=8, cache_size=32) as svc:
+            # decode once up front, leaving the lazy matrices and graph
+            # index for the concurrent solves to build on the shared problem
+            svc.complete(svc.parse_head(dict(payload, budget=0.0)))
+            barrier = threading.Barrier(len(budgets))
+            results = [None] * len(budgets)
+
+            def run(i):
+                barrier.wait()
+                results[i] = dumps(svc.solve(dict(payload, budget=budgets[i])))
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(budgets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            problems = svc.stats()["problems"]
+        assert results == serial
+        assert (problems["decode_misses"], problems["decode_hits"]) == (1, 8)
+
+    def test_permuted_twin_catalog_solves_on_its_own_order(self, service, twin_catalogs):
+        first, second = twin_catalogs
+        service.solve({"problem": first, "budget": 57.0})
+        response = service.solve({"problem": second, "budget": 60.0})
+        with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
+            expected = fresh.solve({"problem": second, "budget": 60.0})
+        assert "zz_twin" in expected["result"]["schedule"]["assignment"].values()
+        assert dumps(response) == dumps(expected)
+
+    def test_permuted_twin_catalogs_in_one_batch(self, service, twin_catalogs):
+        # Both items share a problem_hash, so they form one group; each
+        # must still be solved, and encoded, on its own catalog order.
+        payloads = [
+            {"problem": problem, "budget": budget}
+            for problem, budget in zip(twin_catalogs, (57.0, 60.0))
+        ]
+        batch = service.solve_batch(payloads)
+        assert service.stats()["batch"]["grouped_runs"] == 1
+        with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
+            serial = [fresh.solve(p) for p in payloads]
+        assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
 
 
 class TestBatch:
@@ -296,6 +428,7 @@ class TestStats:
         assert stats["request_latency_p50"] is not None
         assert stats["executor"]["queue_capacity"] == 8
         assert stats["uptime"] >= 0
+        assert stats["problems"]["hash_hits"] == 1
 
     def test_hit_then_miss_probes_once_each(self, service, request_payload):
         service.solve(request_payload)  # miss

@@ -13,19 +13,20 @@ Two entry points:
   - ``batched`` — one :meth:`CriticalGreedyScheduler.solve_batch` call
     over :class:`repro.core.fastpath.BatchedSweep` (all budgets in one
     structure-of-arrays run, prefix-sharing the common step work),
-  - ``serial`` — the warmed shared-scheduler loop the sweeps used before
-    (one incremental-engine solve per budget, workspace reused),
-  - ``reference`` — the original dict/networkx engine with the kernel
-    disabled (every paper-scale row; one mid row at stress scale, where
-    a full reference sweep would take minutes),
+  - ``serial`` — one production ``solve`` per budget, the loop the
+    sweeps used before,
+  - ``reference`` — the test oracle
+    (:func:`repro.algorithms.oracle.reference_solve`, the original
+    dict/networkx loop; every paper-scale row, one mid row at stress
+    scale, where a full oracle sweep would take minutes),
 
   and asserts every batched row is *identical* (schedule, step trace,
   MED, cost, extras — no tolerance, byte for byte) to its serial and
-  reference counterparts.
+  oracle counterparts.
 
 ``--check`` exits non-zero on any divergence — the CI identity gate.
 ``--gate-ratio R`` additionally fails the run if the batched sweep is
-slower than ``R ×`` the serial incremental sweep on any measured scale;
+slower than ``R ×`` the serial sweep on any measured scale;
 CI uses ``1.0`` on stress (never slower than the loop it replaces —
 absolute wall clock is never gated, so noisy runners cannot break the
 build).
@@ -53,7 +54,7 @@ from bench_fastpath import (
 from bench_meta import stamp_metadata
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
-from repro.core import fastpath
+from repro.algorithms.oracle import reference_solve
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_batched.json"
 
@@ -76,45 +77,36 @@ def run_scale(name: str, *, check_reference: bool = True) -> dict:
     budgets = problem.budget_levels(LEVELS)
     repeats = 3 if name == "paper" else 2
 
-    batched_cg = CriticalGreedyScheduler(engine="incremental")
-    serial_cg = CriticalGreedyScheduler(engine="incremental")
+    cg = CriticalGreedyScheduler()
 
-    batched = batched_cg.solve_batch(problem, budgets)
-    serial = [serial_cg.solve(problem, budget) for budget in budgets]
+    batched = cg.solve_batch(problem, budgets)
+    serial = [cg.solve(problem, budget) for budget in budgets]
     for level, (batched_row, serial_row) in enumerate(zip(batched, serial), start=1):
         _assert_row_identical(
-            serial_row, batched_row, f"{name} level {level}: batched vs incremental"
+            serial_row, batched_row, f"{name} level {level}: batched vs serial"
         )
 
     reference_rows = 0
     if check_reference:
-        # Every row at paper scale; a full reference sweep at stress
-        # scale would take minutes, so CI-honesty is one mid row there.
+        # Every row at paper scale; a full oracle sweep at stress scale
+        # would take minutes, so CI-honesty is one mid row there.
         check_levels = (
             range(len(budgets)) if name == "paper" else [len(budgets) // 2]
         )
-        ref_cg = CriticalGreedyScheduler(engine="reference")
-        previous = fastpath.set_kernel_enabled(False)
-        try:
-            for idx in check_levels:
-                reference = ref_cg.solve(problem, budgets[idx])
-                _assert_row_identical(
-                    reference,
-                    batched[idx],
-                    f"{name} level {idx + 1}: batched vs reference",
-                )
-                reference_rows += 1
-        finally:
-            fastpath.set_kernel_enabled(previous)
+        for idx in check_levels:
+            _assert_row_identical(
+                reference_solve(problem, budgets[idx]),
+                batched[idx],
+                f"{name} level {idx + 1}: batched vs reference",
+            )
+            reference_rows += 1
 
-    # Both contenders are warm (first runs above); serial keeps its
-    # IncrementalSweep workspace across budgets, which is the strongest
-    # serial baseline the sweeps had before batching.
+    # Both contenders are warm (first runs above).
     gc.collect()
-    batched_s = _time_best(lambda: batched_cg.solve_batch(problem, budgets), repeats)
+    batched_s = _time_best(lambda: cg.solve_batch(problem, budgets), repeats)
     gc.collect()
     serial_s = _time_best(
-        lambda: [serial_cg.solve(problem, budget) for budget in budgets], repeats
+        lambda: [cg.solve(problem, budget) for budget in budgets], repeats
     )
 
     return {
@@ -137,7 +129,7 @@ def main(argv=None) -> int:
         "--check",
         action="store_true",
         help="identity gate: exit 1 if any batched row diverges from the "
-        "incremental or reference engine",
+        "serial solve or the reference oracle",
     )
     parser.add_argument(
         "--gate-ratio",
@@ -145,7 +137,7 @@ def main(argv=None) -> int:
         default=None,
         metavar="R",
         help="fail if the batched sweep is slower than R x the serial "
-        "incremental sweep on any measured scale (CI uses 1.0 on stress)",
+        "sweep on any measured scale (CI uses 1.0 on stress)",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
@@ -201,11 +193,10 @@ def main(argv=None) -> int:
 def bench_critical_greedy_batched(benchmark, save_report):
     problem = _make_problem(SCALES["paper"])
     budgets = problem.budget_levels(LEVELS)
-    batched_cg = CriticalGreedyScheduler(engine="incremental")
-    serial_cg = CriticalGreedyScheduler(engine="incremental")
-    serial = [serial_cg.solve(problem, budget) for budget in budgets]
+    cg = CriticalGreedyScheduler()
+    serial = [cg.solve(problem, budget) for budget in budgets]
     batched = benchmark.pedantic(
-        batched_cg.solve_batch, args=(problem, budgets), rounds=3, iterations=1
+        cg.solve_batch, args=(problem, budgets), rounds=3, iterations=1
     )
     for level, (serial_row, batched_row) in enumerate(zip(serial, batched), start=1):
         _assert_row_identical(
@@ -215,7 +206,7 @@ def bench_critical_greedy_batched(benchmark, save_report):
         "batched_cg",
         f"paper-scale {LEVELS}-level batched sweep: "
         f"{sum(len(row.steps) for row in batched)} steps across rows, "
-        f"every row == incremental engine",
+        f"every row == serial solve",
     )
 
 

@@ -4,18 +4,20 @@ Two entry points:
 
 * ``pytest benchmarks/bench_fastpath.py --benchmark-only`` — paper-scale
   pytest-benchmark runs (kernel sweep + one Critical-Greedy solve) with
-  the fast/reference equivalence asserted before timing;
+  the production/oracle equivalence asserted before timing;
 * ``python benchmarks/bench_fastpath.py [--scale paper|stress|all]
   [--check] [--out PATH]`` — the JSON emitter behind
   ``BENCH_fastpath.json``: for each scale it measures
 
-  - the CP kernel (µs per sweep, fast vs reference),
-  - Critical-Greedy end-to-end (s per solve, fast engine + kernel vs
-    reference engine + kernel disabled),
-  - a budget sweep (s per grid, ``n_jobs`` 1 vs 4),
+  - the CP kernel (µs per sweep, fast kernel vs the reference
+    ``analyze_critical_path``),
+  - Critical-Greedy end-to-end (s per solve, production ``solve`` vs the
+    test oracle :func:`repro.algorithms.oracle.reference_solve`, which
+    evaluates every step through the reference analysis),
+  - a serial budget sweep (s per grid, ``sweep_budgets``),
 
-  and asserts the fast results are *identical* (schedule, step trace,
-  MED, cost — no tolerance) to the reference.  ``--check`` exits
+  and asserts the production results are *identical* (schedule, step
+  trace, MED, cost — no tolerance) to the oracle.  ``--check`` exits
   non-zero on any divergence, which is the CI perf-smoke gate; wall
   clock is recorded but never gated, so CI stays robust to noisy
   runners.
@@ -37,6 +39,7 @@ import numpy as np
 from bench_meta import stamp_metadata
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
+from repro.algorithms.oracle import reference_solve
 from repro.analysis.sweep import sweep_budgets
 from repro.core import fastpath
 from repro.core.critical_path import analyze_critical_path
@@ -69,15 +72,15 @@ def _time_best(fn, repeats: int) -> float:
     return min(_time_once(fn) for _ in range(repeats))
 
 
-def _assert_equal_results(ref, fast, context: str) -> None:
+def _assert_equal_results(ref, other, context: str) -> None:
     """Identity (not closeness) of two SchedulerResults."""
-    if ref.schedule.assignment != fast.schedule.assignment:
+    if ref.schedule.assignment != other.schedule.assignment:
         raise AssertionError(f"{context}: schedules differ")
-    if ref.steps != fast.steps:
+    if ref.steps != other.steps:
         raise AssertionError(f"{context}: step traces differ")
-    if ref.evaluation.makespan != fast.evaluation.makespan:
+    if ref.evaluation.makespan != other.evaluation.makespan:
         raise AssertionError(f"{context}: MED differs")
-    if ref.evaluation.total_cost != fast.evaluation.total_cost:
+    if ref.evaluation.total_cost != other.evaluation.total_cost:
         raise AssertionError(f"{context}: cost differs")
 
 
@@ -107,54 +110,30 @@ def _bench_kernel(problem, repeats: int) -> dict:
 
 
 def _bench_cg(problem, budget: float) -> dict:
-    fast_cg = CriticalGreedyScheduler(engine="fast")
-    ref_cg = CriticalGreedyScheduler(engine="reference")
+    cg = CriticalGreedyScheduler()
 
-    fast_result = fast_cg.solve(problem, budget)
-    fast_s = _time_once(lambda: fast_cg.solve(problem, budget))
+    result = cg.solve(problem, budget)
+    solve_s = _time_once(lambda: cg.solve(problem, budget))
 
-    previous = fastpath.set_kernel_enabled(False)
-    try:
-        ref_result = ref_cg.solve(problem, budget)
-        ref_s = _time_once(lambda: ref_cg.solve(problem, budget))
-    finally:
-        fastpath.set_kernel_enabled(previous)
+    oracle_result = reference_solve(problem, budget)
+    oracle_s = _time_once(lambda: reference_solve(problem, budget))
 
-    _assert_equal_results(ref_result, fast_result, "critical-greedy")
+    _assert_equal_results(oracle_result, result, "critical-greedy")
     return {
-        "fast_s_per_solve": fast_s,
-        "reference_s_per_solve": ref_s,
-        "speedup": ref_s / fast_s,
-        "steps": len(fast_result.steps),
-        "med": fast_result.evaluation.makespan,
-        "cost": fast_result.evaluation.total_cost,
+        "solve_s_per_solve": solve_s,
+        "oracle_s_per_solve": oracle_s,
+        "speedup": oracle_s / solve_s,
+        "steps": len(result.steps),
+        "med": result.evaluation.makespan,
+        "cost": result.evaluation.total_cost,
     }
 
 
 def _bench_sweep(problem, levels: int) -> dict:
     cg = CriticalGreedyScheduler()
-    serial = sweep_budgets(problem, [cg], levels=levels)
+    sweep_budgets(problem, [cg], levels=levels)
     serial_s = _time_once(lambda: sweep_budgets(problem, [cg], levels=levels))
-    parallel = sweep_budgets(problem, [cg], levels=levels, n_jobs=4)
-    parallel_s = _time_once(
-        lambda: sweep_budgets(problem, [cg], levels=levels, n_jobs=4)
-    )
-    if serial != parallel:
-        raise AssertionError("sweep: n_jobs=4 result differs from serial")
-    auto = sweep_budgets(problem, [cg], levels=levels, n_jobs="auto")
-    auto_s = _time_once(
-        lambda: sweep_budgets(problem, [cg], levels=levels, n_jobs="auto")
-    )
-    if serial != auto:
-        raise AssertionError("sweep: n_jobs='auto' result differs from serial")
-    return {
-        "levels": levels,
-        "serial_s_per_grid": serial_s,
-        "n_jobs4_s_per_grid": parallel_s,
-        "auto_s_per_grid": auto_s,
-        "speedup": serial_s / parallel_s,
-        "auto_speedup": serial_s / auto_s,
-    }
+    return {"levels": levels, "serial_s_per_grid": serial_s}
 
 
 def run_scale(name: str) -> dict:
@@ -178,17 +157,12 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="equivalence gate: exit 1 if fast != reference anywhere",
+        help="equivalence gate: exit 1 if production != oracle anywhere",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
 
     names = list(SCALES) if args.scale == "all" else [args.scale]
-    # n_jobs timings only show a speedup with real cores to spare; the
-    # harness asserts result *parity* regardless.  The metadata block
-    # records both CPU views: cpu_count is the machine, effective_affinity
-    # is what this process may actually use (containers often pin to a
-    # subset — the number that decides whether forking can ever win).
     payload = {
         **stamp_metadata("benchmarks/bench_fastpath.py"),
         "seed": SEED,
@@ -200,8 +174,8 @@ def main(argv=None) -> int:
             payload["scales"][name] = run_scale(name)
             cg = payload["scales"][name]["critical_greedy"]
             print(
-                f"[bench_fastpath]   CG {cg['reference_s_per_solve']:.3f}s -> "
-                f"{cg['fast_s_per_solve']:.3f}s ({cg['speedup']:.1f}x), "
+                f"[bench_fastpath]   CG oracle {cg['oracle_s_per_solve']:.3f}s -> "
+                f"solve {cg['solve_s_per_solve']:.3f}s ({cg['speedup']:.1f}x), "
                 f"{cg['steps']} steps",
                 flush=True,
             )
@@ -235,19 +209,17 @@ def bench_kernel_sweep(benchmark, save_report):
     )
 
 
-def bench_critical_greedy_fast(benchmark, save_report):
+def bench_critical_greedy(benchmark, save_report):
     problem = _make_problem(PAPER_SCALE)
     budget = _mid_budget(problem)
-    fast_cg = CriticalGreedyScheduler(engine="fast")
-    ref = CriticalGreedyScheduler(engine="reference").solve(problem, budget)
-    result = benchmark.pedantic(
-        fast_cg.solve, args=(problem, budget), rounds=3, iterations=1
-    )
+    cg = CriticalGreedyScheduler()
+    ref = reference_solve(problem, budget)
+    result = benchmark.pedantic(cg.solve, args=(problem, budget), rounds=3, iterations=1)
     _assert_equal_results(ref, result, "critical-greedy (pytest bench)")
     save_report(
         "fastpath_cg",
         f"paper-scale CG: {len(result.steps)} steps, "
-        f"MED={result.evaluation.makespan:.6f} (fast == reference)",
+        f"MED={result.evaluation.makespan:.6f} (solve == oracle)",
     )
 
 

@@ -26,8 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.sweep import effective_cpu_count
-
 __all__ = ["BENCH_SCHEMA_VERSION", "stamp_metadata"]
 
 #: Version of the shared metadata block (not of any bench's own fields).
@@ -50,6 +48,18 @@ def _git_sha() -> str | None:
         return None
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else None
+
+
+def _effective_affinity() -> int:
+    """CPUs this process may run on: the scheduling affinity where the
+    platform has one (Linux), else the machine's ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0))
+        except OSError:  # pragma: no cover - exotic platforms
+            pass
+    return os.cpu_count() or 1
 
 
 def _blas_info() -> dict[str, Any]:
@@ -80,5 +90,5 @@ def stamp_metadata(generated_by: str) -> dict[str, Any]:
         "numpy_version": np.__version__,
         "blas": _blas_info(),
         "cpu_count": os.cpu_count(),
-        "effective_affinity": effective_cpu_count(),
+        "effective_affinity": _effective_affinity(),
     }

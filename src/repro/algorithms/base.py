@@ -227,10 +227,10 @@ def declared_params(scheduler: Scheduler) -> dict[str, object]:
     """A scheduler's declared knobs as a JSON-compatible mapping.
 
     Every scheduler in this library is a dataclass, so its configuration
-    surface is exactly its init fields (``candidate_scope``, ``engine``,
-    cooling rates, …).  The service layer hashes this mapping into the
-    cache key (:func:`repro.service.keys.params_hash`) so two runs of the
-    same algorithm with different knobs never collide.  Non-JSON-native
+    surface is exactly its init fields (``candidate_scope``,
+    ``transfer_aware``, cooling rates, …).  The service layer hashes this
+    mapping into the cache key (:func:`repro.service.keys.params_hash`) so
+    two runs of the same algorithm with different knobs never collide.  Non-JSON-native
     values fall back to ``repr`` for a stable, hashable rendering.
     """
     if not dataclasses.is_dataclass(scheduler):

@@ -20,32 +20,22 @@ Termination: each applied step strictly decreases the rescheduled module's
 execution time, and a module has only ``n`` distinct times, so the loop
 runs at most ``m * (n - 1)`` iterations.
 
-Three engines implement the identical algorithm:
+One production loop implements it: :meth:`CriticalGreedyScheduler.solve`
+keeps one :class:`~repro.core.fastpath.IncrementalSweep` that
+repropagates only the topological span a single-module upgrade can
+affect (instead of a full CP sweep per iteration), and the candidate
+search is a fully vectorized eps-aware lexicographic argmax
+(:func:`_pick_step`) that provably selects the same (module, type) entry
+as the scalar scan — falling back to the exact scalar scan in the rare
+near-tie cases where the eps-chained comparisons are order-dependent.
 
-* ``"incremental"`` (default) — the delta engine: one
-  :class:`~repro.core.fastpath.IncrementalSweep` repropagates only the
-  topological span a single-module upgrade can affect (instead of a full
-  CP sweep per iteration), and the candidate search is a fully
-  vectorized eps-aware lexicographic argmax (:func:`_pick_step`) that
-  provably selects the same (module, type) entry as the scalar scan —
-  falling back to the exact scalar scan in the rare near-tie cases where
-  the eps-chained comparisons are order-dependent.  The scheduler keeps
-  a single-slot per-problem workspace so repeated solves on the same
-  problem (budget sweeps, instance comparisons) reuse the sweep buffers
-  and the CSR index;
-* ``"fast"`` — the PR-2 array engine: one cached full CSR sweep
-  (:mod:`repro.core.fastpath`) per iteration, the shared
-  :func:`~repro.core.fastpath.critical_row_mask` candidate routine, and
-  the original scalar ``_EPS`` tie-break scan over the surviving
-  entries;
-* ``"reference"`` — the original dict-and-networkx inner loop, kept as
-  the ground truth for the equivalence tests and the perf benchmark.
+The original dict-and-networkx loop lives on as a test oracle in
+:mod:`repro.algorithms.oracle`; it is not registered and nothing in
+production selects it.  Production ``solve`` and ``solve_batch`` are
+byte-identical to it (schedules, step traces, MEDs and costs — asserted
+by the test suite and ``benchmarks/bench_fastpath.py --check`` in CI).
 
-All three produce byte-identical schedules, step traces, MEDs and costs
-(asserted by the test suite and ``benchmarks/bench_incremental.py
---check`` in CI).
-
-On top of the incremental engine, :meth:`CriticalGreedyScheduler.solve_batch`
+On top of that loop, :meth:`CriticalGreedyScheduler.solve_batch`
 solves one problem at **B budgets simultaneously** over a single
 :class:`~repro.core.fastpath.BatchedSweep`.  The key structural fact it
 exploits: Critical-Greedy's step sequence at budget ``b`` is (almost
@@ -68,7 +58,6 @@ scans), and ``tests/algorithms/test_critical_greedy_batch.py`` plus
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -295,28 +284,6 @@ class _BatchGroup:
         )
 
 
-class _Workspace:
-    """Reusable per-problem state of the incremental engine.
-
-    Holds the CSR index and one :class:`~repro.core.fastpath.IncrementalSweep`
-    (the preallocated est/eft/lst/lft buffers) for a specific
-    ``(problem, transfer_aware)`` pair, so budget sweeps and instance
-    comparisons that solve the same problem repeatedly stop
-    re-materializing kernel state.  The problem is held via a weakref:
-    a cached workspace never keeps a dead problem alive.
-    """
-
-    __slots__ = ("problem_ref", "index", "sweep")
-
-    def __init__(self, problem: MedCCProblem, transfer_aware: bool) -> None:
-        self.problem_ref = weakref.ref(problem)
-        self.index = fastpath.graph_index(problem.workflow)
-        transfer_times = problem.transfer_times if transfer_aware else None
-        self.sweep = fastpath.IncrementalSweep(
-            problem.workflow, transfer_times=transfer_times
-        )
-
-
 @register_scheduler("critical-greedy")
 @dataclass
 class CriticalGreedyScheduler:
@@ -334,18 +301,14 @@ class CriticalGreedyScheduler:
         path already includes transfer times, so CG is transfer-aware by
         construction; this flag is reserved to *disable* that (evaluate the
         CP on execution times only) for ablation.
-    engine:
-        ``"incremental"`` (default) runs delta CP sweeps with the
-        vectorized candidate argmax; ``"fast"`` runs one full CSR sweep
-        per iteration with the scalar tie-break scan; ``"reference"``
-        runs the original implementation.  All three produce identical
-        schedules, step traces, MEDs and costs.
     """
 
     candidate_scope: str = "critical"
     transfer_aware: bool = True
-    engine: str = "incremental"
     name = "critical-greedy"
+    #: The loop reported in the service's result fragment.  A plain class
+    #: attribute like ``name``: not a knob, not in ``declared_params``.
+    engine = "incremental"
 
     def __post_init__(self) -> None:
         if self.candidate_scope not in ("critical", "all"):
@@ -353,34 +316,90 @@ class CriticalGreedyScheduler:
                 f"candidate_scope must be 'critical' or 'all', "
                 f"got {self.candidate_scope!r}"
             )
-        if self.engine not in ("incremental", "fast", "reference"):
-            raise ConfigurationError(
-                f"engine must be 'incremental', 'fast' or 'reference', "
-                f"got {self.engine!r}"
-            )
-        # Single-slot workspace cache of the incremental engine.  Not a
-        # dataclass field: it is derived state, invisible to __eq__,
-        # declared_params() and the service cache key.
-        self._workspace: _Workspace | None = None
-
-    def __getstate__(self) -> dict[str, object]:
-        # The workspace holds a weakref (unpicklable) and is pure cache;
-        # drop it so scheduler instances can cross process boundaries
-        # (ProcessPoolExecutor in the analysis sweeps).
-        state = dict(self.__dict__)
-        state["_workspace"] = None
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
 
     def solve(self, problem: MedCCProblem, budget: float) -> SchedulerResult:
         """Run Algorithm 1 and return the schedule, MED and full trace."""
-        if self.engine == "incremental":
-            return self._solve_incremental(problem, budget)
-        if self.engine == "fast":
-            return self._solve_fast(problem, budget)
-        return self._solve_reference(problem, budget)
+        problem.check_feasible(budget)
+        matrices = problem.matrices
+        te, ce = matrices.te, matrices.ce
+        num_modules, num_types = matrices.num_modules, matrices.num_types
+        module_names = matrices.module_names
+
+        index = fastpath.graph_index(problem.workflow)
+        transfer_times = problem.transfer_times if self.transfer_aware else None
+        sweep = fastpath.IncrementalSweep(
+            problem.workflow, transfer_times=transfer_times
+        )
+
+        # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
+        # total cost, exactly as the oracle computes them.
+        columns = [int(j) for j in matrices.least_cost_choice()]
+        cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
+
+        rows_arange = np.arange(num_modules)
+        current_te = te[rows_arange, columns]
+        current_ce = ce[rows_arange, columns]
+        durations = list(index.base_durations)
+        for row, node in enumerate(index.sched_nodes):
+            durations[node] = float(current_te[row])
+        makespan = sweep.reset_vector(durations)
+
+        # Whole dt/dc matrices, maintained incrementally: only the
+        # upgraded module's row changes between iterations, and the
+        # refresh repeats the exact subtraction a full rebuild would
+        # perform, so every entry stays bit-identical to it.
+        dt_all = current_te[:, None] - te
+        dc_all = ce - current_ce[:, None]
+
+        steps: list[ReschedulingStep] = []
+        scope_all = self.candidate_scope == "all"
+        while budget - cost > _EPS:
+            extra = budget - cost
+            affordable = (dt_all > _EPS) & (dc_all <= extra + _EPS)
+            if scope_all:
+                valid = affordable
+            else:
+                critical = sweep.critical_rows()
+                if not critical.any():
+                    break
+                valid = affordable & critical[:, None]
+            picked = _pick_step(dt_all, dc_all, valid, num_types)
+            if picked is None:
+                break
+            row, j, best_dt, best_dc = picked
+
+            module = module_names[row]
+            from_type = columns[row]
+            columns[row] = j
+            new_time = float(te[row, j])
+            current_te[row] = new_time
+            current_ce[row] = ce[row, j]
+            dt_all[row, :] = current_te[row] - te[row, :]
+            dc_all[row, :] = ce[row, :] - current_ce[row]
+            cost += best_dc
+            makespan = sweep.set_row_duration(row, new_time)
+            steps.append(
+                ReschedulingStep(
+                    module=module,
+                    from_type=from_type,
+                    to_type=j,
+                    time_decrease=best_dt,
+                    cost_increase=best_dc,
+                    makespan_after=makespan,
+                    cost_after=cost,
+                )
+            )
+
+        current = Schedule._adopt(dict(zip(module_names, columns)))
+        evaluation = self._evaluate(problem, current)
+        return SchedulerResult(
+            algorithm=self.name,
+            schedule=current,
+            evaluation=evaluation,
+            budget=budget,
+            steps=tuple(steps),
+            extras={"iterations": len(steps)},
+        )
 
     def solve_batch(
         self, problem: MedCCProblem, budgets: Sequence[float]
@@ -393,9 +412,8 @@ class CriticalGreedyScheduler:
         :class:`~repro.core.fastpath.BatchedSweep`, so the total step
         work scales with the number of *distinct* step-sequence
         suffixes instead of the sum of trace lengths (see the module
-        docstring).  Only the incremental engine has a batched path; the
-        other engines (and the trivial single-budget case) fall back to
-        serial solves, so callers can use this unconditionally.
+        docstring).  A single budget falls back to a serial solve, so
+        callers can use this unconditionally.
 
         Raises :class:`~repro.exceptions.InfeasibleBudgetError` on the
         first infeasible budget, before any row is solved — exactly
@@ -404,8 +422,8 @@ class CriticalGreedyScheduler:
         budget_list = [float(b) for b in budgets]
         if not budget_list:
             return []
-        if self.engine != "incremental" or len(budget_list) == 1:
-            return [self.solve(problem, budget) for budget in budget_list]
+        if len(budget_list) == 1:
+            return [self.solve(problem, budget_list[0])]
         for budget in budget_list:
             problem.check_feasible(budget)
         results = self._solve_batch_incremental(problem, budget_list)
@@ -420,7 +438,7 @@ class CriticalGreedyScheduler:
         return results
 
     # ------------------------------------------------------------------ #
-    # Batched incremental engine: B budgets over one BatchedSweep
+    # Batched loop: B budgets over one BatchedSweep
     # ------------------------------------------------------------------ #
 
     def _solve_batch_incremental(
@@ -474,7 +492,7 @@ class CriticalGreedyScheduler:
         def apply_step(
             group: _BatchGroup, row: int, j: int, best_dt: float, best_dc: float
         ) -> None:
-            # The exact per-step state refresh of _solve_incremental.
+            # The exact per-step state refresh of solve().
             module = module_names[row]
             from_type = group.columns[row]
             group.columns[row] = j
@@ -504,7 +522,7 @@ class CriticalGreedyScheduler:
             # shared pick is no longer provably right for every member, so
             # run the exact serial selection per row and regroup rows that
             # picked the same entry.  _pick_step at a row's own cutoff is
-            # the serial engine's selection, guards and all.
+            # the serial loop's selection, guards and all.
             picked_by_key: dict[tuple[int, int], tuple] = {}
             members_by_key: dict[tuple[int, int] | None, list[int]] = {}
             order: list[tuple[int, int] | None] = []
@@ -673,289 +691,6 @@ class CriticalGreedyScheduler:
                 )
             )
         return results
-
-    # ------------------------------------------------------------------ #
-    # Incremental engine: delta CP sweeps + vectorized candidate argmax
-    # ------------------------------------------------------------------ #
-
-    def _acquire_workspace(self, problem: MedCCProblem) -> _Workspace:
-        # Pop the slot while solving: two threads sharing one scheduler
-        # instance never share sweep buffers (the second builds a fresh
-        # workspace and the last one back wins the slot).
-        workspace = self._workspace
-        self._workspace = None
-        if workspace is None or workspace.problem_ref() is not problem:
-            workspace = _Workspace(problem, self.transfer_aware)
-        return workspace
-
-    def _solve_incremental(
-        self, problem: MedCCProblem, budget: float
-    ) -> SchedulerResult:
-        problem.check_feasible(budget)
-        matrices = problem.matrices
-        te, ce = matrices.te, matrices.ce
-        num_modules, num_types = matrices.num_modules, matrices.num_types
-        module_names = matrices.module_names
-
-        workspace = self._acquire_workspace(problem)
-        try:
-            index = workspace.index
-            sweep = workspace.sweep
-
-            # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
-            # total cost, exactly as the reference engine computes them.
-            columns = [int(j) for j in matrices.least_cost_choice()]
-            cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
-
-            rows_arange = np.arange(num_modules)
-            current_te = te[rows_arange, columns]
-            current_ce = ce[rows_arange, columns]
-            durations = list(index.base_durations)
-            for row, node in enumerate(index.sched_nodes):
-                durations[node] = float(current_te[row])
-            makespan = sweep.reset_vector(durations)
-
-            # Whole dt/dc matrices, maintained incrementally: only the
-            # upgraded module's row changes between iterations, and the
-            # refresh repeats the exact subtraction the full rebuild
-            # would perform, so every entry stays bit-identical to the
-            # per-iteration rebuild of the "fast" engine.
-            dt_all = current_te[:, None] - te
-            dc_all = ce - current_ce[:, None]
-
-            steps: list[ReschedulingStep] = []
-            scope_all = self.candidate_scope == "all"
-            while budget - cost > _EPS:
-                extra = budget - cost
-                affordable = (dt_all > _EPS) & (dc_all <= extra + _EPS)
-                if scope_all:
-                    valid = affordable
-                else:
-                    critical = sweep.critical_rows()
-                    if not critical.any():
-                        break
-                    valid = affordable & critical[:, None]
-                picked = _pick_step(dt_all, dc_all, valid, num_types)
-                if picked is None:
-                    break
-                row, j, best_dt, best_dc = picked
-
-                module = module_names[row]
-                from_type = columns[row]
-                columns[row] = j
-                new_time = float(te[row, j])
-                current_te[row] = new_time
-                current_ce[row] = ce[row, j]
-                dt_all[row, :] = current_te[row] - te[row, :]
-                dc_all[row, :] = ce[row, :] - current_ce[row]
-                cost += best_dc
-                makespan = sweep.set_row_duration(row, new_time)
-                steps.append(
-                    ReschedulingStep(
-                        module=module,
-                        from_type=from_type,
-                        to_type=j,
-                        time_decrease=best_dt,
-                        cost_increase=best_dc,
-                        makespan_after=makespan,
-                        cost_after=cost,
-                    )
-                )
-        finally:
-            self._workspace = workspace
-
-        current = Schedule._adopt(dict(zip(module_names, columns)))
-        evaluation = self._evaluate(problem, current)
-        return SchedulerResult(
-            algorithm=self.name,
-            schedule=current,
-            evaluation=evaluation,
-            budget=budget,
-            steps=tuple(steps),
-            extras={"iterations": len(steps)},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Fast engine: full CSR sweep per iteration + scalar tie-break scan
-    # ------------------------------------------------------------------ #
-
-    def _solve_fast(self, problem: MedCCProblem, budget: float) -> SchedulerResult:
-        problem.check_feasible(budget)
-        matrices = problem.matrices
-        te, ce = matrices.te, matrices.ce
-        num_modules, num_types = matrices.num_modules, matrices.num_types
-        module_names = matrices.module_names
-
-        index = fastpath.graph_index(problem.workflow)
-        transfers = (
-            fastpath.transfer_vector(index, problem.transfer_times)
-            if self.transfer_aware
-            else None
-        )
-
-        # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
-        # total cost, exactly as the reference engine computes them.
-        columns = [int(j) for j in matrices.least_cost_choice()]
-        cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
-
-        # Mutable state of the inner loop: per-node durations for the CP
-        # sweep, plus the current row-wise time/cost of each module.
-        durations = list(index.base_durations)
-        sched_nodes = index.sched_nodes
-        rows_arange = np.arange(num_modules)
-        current_te = te[rows_arange, columns]
-        current_ce = ce[rows_arange, columns]
-        for row, node in enumerate(sched_nodes):
-            durations[node] = float(current_te[row])
-
-        est_vec, _, lst_vec, _, _, makespan = fastpath.sweep_arrays(
-            index, durations, transfers
-        )
-        steps: list[ReschedulingStep] = []
-
-        while budget - cost > _EPS:
-            extra = budget - cost
-            if self.candidate_scope == "critical":
-                cand = np.flatnonzero(
-                    fastpath.critical_row_mask(index, est_vec, lst_vec)
-                )
-                if cand.size == 0:
-                    break
-            else:
-                cand = rows_arange
-
-            # Alg. 1, lines 11-13 — vectorized over whole te/ce rows.  The
-            # validity mask reproduces the original per-entry skip tests
-            # (dt <= eps, dc > extra + eps, j == j_cur has dt == 0 exactly);
-            # the surviving entries are scanned in the original row-major
-            # (module order, type order) sequence with the original _EPS
-            # comparisons, so the selected step is identical bit-for-bit.
-            dt = current_te[cand, None] - te[cand, :]
-            dc = ce[cand, :] - current_ce[cand, None]
-            valid = (dt > _EPS) & (dc <= extra + _EPS)
-            picked = _pick_step_scan(dt, dc, valid, num_types)
-            if picked is None:
-                break
-            cand_row, j, best_dt, best_dc = picked
-
-            row = int(cand[cand_row])
-            module = module_names[row]
-            from_type = columns[row]
-
-            columns[row] = j
-            new_time = float(te[row, j])
-            current_te[row] = new_time
-            current_ce[row] = ce[row, j]
-            durations[sched_nodes[row]] = new_time
-            cost += best_dc
-            est_vec, _, lst_vec, _, _, makespan = fastpath.sweep_arrays(
-                index, durations, transfers
-            )
-            steps.append(
-                ReschedulingStep(
-                    module=module,
-                    from_type=from_type,
-                    to_type=j,
-                    time_decrease=best_dt,
-                    cost_increase=best_dc,
-                    makespan_after=makespan,
-                    cost_after=cost,
-                )
-            )
-
-        current = Schedule._adopt(dict(zip(module_names, columns)))
-        evaluation = self._evaluate(problem, current)
-        return SchedulerResult(
-            algorithm=self.name,
-            schedule=current,
-            evaluation=evaluation,
-            budget=budget,
-            steps=tuple(steps),
-            extras={"iterations": len(steps)},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Reference engine: the original dict-and-networkx implementation
-    # ------------------------------------------------------------------ #
-
-    def _solve_reference(self, problem: MedCCProblem, budget: float) -> SchedulerResult:
-        problem.check_feasible(budget)
-        matrices = problem.matrices
-        te, ce = matrices.te, matrices.ce
-        row = matrices.row_index
-
-        current: Schedule = problem.least_cost_schedule()
-        # Total cost includes the schedule-independent transfer charges
-        # (zero in the paper's single-cloud setting, non-zero in the
-        # multi-cloud extension) so the budget comparison stays honest.
-        cost = problem.cost_of(current)
-        steps: list[ReschedulingStep] = []
-        evaluation = self._evaluate(problem, current)
-
-        while budget - cost > _EPS:
-            extra = budget - cost
-            if self.candidate_scope == "critical":
-                candidates = evaluation.analysis.critical_schedulable()
-            else:
-                candidates = problem.workflow.schedulable_names
-
-            # Alg. 1, lines 11-13: the largest affordable time decrease,
-            # ties broken by the smallest cost increase (then module/type
-            # order for full determinism).
-            best: tuple[float, float, str, int] | None = None
-            for module in candidates:
-                i = row[module]
-                j_cur = current[module]
-                t_old = te[i, j_cur]
-                c_old = ce[i, j_cur]
-                for j in range(matrices.num_types):
-                    if j == j_cur:
-                        continue
-                    dt = t_old - te[i, j]
-                    dc = ce[i, j] - c_old
-                    if dt <= _EPS or dc > extra + _EPS:
-                        continue
-                    if best is None or dt > best[0] + _EPS or (
-                        abs(dt - best[0]) <= _EPS and dc < best[1] - _EPS
-                    ):
-                        best = (dt, dc, module, j)
-
-            if best is None:
-                break
-
-            dt, dc, module, j = best
-            steps.append(
-                ReschedulingStep(
-                    module=module,
-                    from_type=current[module],
-                    to_type=j,
-                    time_decrease=dt,
-                    cost_increase=dc,
-                    makespan_after=0.0,  # patched below after evaluation
-                    cost_after=cost + dc,
-                )
-            )
-            current = current.with_assignment(module, j)
-            cost += dc
-            evaluation = self._evaluate(problem, current)
-            steps[-1] = ReschedulingStep(
-                module=module,
-                from_type=steps[-1].from_type,
-                to_type=j,
-                time_decrease=dt,
-                cost_increase=dc,
-                makespan_after=evaluation.makespan,
-                cost_after=cost,
-            )
-
-        return SchedulerResult(
-            algorithm=self.name,
-            schedule=current,
-            evaluation=evaluation,
-            budget=budget,
-            steps=tuple(steps),
-            extras={"iterations": len(steps)},
-        )
 
     def _evaluate(self, problem: MedCCProblem, schedule: Schedule):
         if self.transfer_aware:

@@ -7,28 +7,15 @@ MEDs/improvements.  This module implements that loop once, with
 deterministic seeding, so every experiment module is a thin configuration
 layer on top.
 
-Both entry points accept ``n_jobs`` for opt-in process parallelism.  The
-work is partitioned deterministically — contiguous budget-level chunks in
-:func:`sweep_budgets`, one task per instance in
-:func:`compare_on_instances` (instances themselves are built serially so
-``rng.spawn`` seeding is unchanged) — and every unit is an independent
-pure computation, so results are equal to the serial path for any
-``n_jobs``.
-
-``n_jobs="auto"`` sizes the pool from the CPUs *actually available to
-this process* (:func:`effective_cpu_count` — the scheduling affinity,
-not the machine-wide ``os.cpu_count()``) and falls back to serial when
-the grid is too small to amortize process start-up.  A fixed ``n_jobs=4``
-on a 1-CPU container is a slowdown (``BENCH_fastpath.json`` once
-recorded 0.445× serial for exactly that reason); ``"auto"`` detects the
-single effective CPU and stays serial.
+Both entry points run in-process.  Budget sweeps over one workflow batch
+the budget axis: a scheduler exposing ``solve_batch`` (Critical-Greedy)
+solves every level in one structure-of-arrays run whose rows are
+byte-identical to per-level ``solve`` calls.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,62 +29,9 @@ __all__ = [
     "BudgetSweepPoint",
     "BudgetSweepResult",
     "InstanceComparison",
-    "effective_cpu_count",
-    "resolve_n_jobs",
     "sweep_budgets",
     "compare_on_instances",
 ]
-
-#: Below this many independent work units, ``n_jobs="auto"`` stays serial:
-#: forking + re-importing the interpreter costs far more than a handful of
-#: solves.
-_AUTO_MIN_UNITS = 8
-
-#: ``"auto"`` gives every worker at least this many units, so pool width
-#: never exceeds the point where chunking degenerates to one unit each.
-_AUTO_MIN_UNITS_PER_WORKER = 2
-
-
-def effective_cpu_count() -> int:
-    """CPUs actually available to this process.
-
-    Containers and batch schedulers routinely pin processes to a subset
-    of the machine's cores; ``os.cpu_count()`` reports the machine while
-    ``os.sched_getaffinity(0)`` reports the pinned set.  Uses the
-    affinity where the platform provides it, falling back to
-    ``os.cpu_count()`` (macOS, Windows).
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return len(getaffinity(0))
-        except OSError:  # pragma: no cover - exotic platforms
-            pass
-    return os.cpu_count() or 1
-
-
-def resolve_n_jobs(n_jobs: int | str, units: int) -> int:
-    """Resolve an ``n_jobs`` parameter to a concrete pool width.
-
-    Explicit positive integers pass through unchanged (the caller asked
-    for that width, slowdown or not).  ``"auto"`` picks
-    ``min(effective CPUs, units // 2)`` and degrades to serial when
-    fewer than ``_AUTO_MIN_UNITS`` units exist or only one CPU is
-    effectively available.  Anything else raises
-    :class:`~repro.exceptions.ExperimentError`.
-    """
-    if n_jobs == "auto":
-        cpus = effective_cpu_count()
-        if cpus <= 1 or units < _AUTO_MIN_UNITS:
-            return 1
-        return max(1, min(cpus, units // _AUTO_MIN_UNITS_PER_WORKER))
-    if isinstance(n_jobs, bool) or not isinstance(n_jobs, int):
-        raise ExperimentError(
-            f"n_jobs must be a positive int or 'auto', got {n_jobs!r}"
-        )
-    if n_jobs < 1:
-        raise ExperimentError(f"n_jobs must be >= 1, got {n_jobs}")
-    return n_jobs
 
 
 @dataclass(frozen=True)
@@ -137,83 +71,21 @@ class BudgetSweepResult:
         return med_ratio(self.average_med(ours), self.average_med(baseline))
 
 
-def _solve_point(
-    problem: MedCCProblem,
-    schedulers: Sequence[Scheduler],
-    level: int,
-    budget: float,
-) -> BudgetSweepPoint:
-    """One (budget level × all schedulers) cell — the unit of parallel work."""
-    med: dict[str, float] = {}
-    cost: dict[str, float] = {}
-    for scheduler in schedulers:
-        result = scheduler.solve(problem, budget)
-        result.assert_feasible()
-        med[scheduler.name] = result.med
-        cost[scheduler.name] = result.total_cost
-    return BudgetSweepPoint(
-        budget_level=level, budget=float(budget), med=med, cost=cost
-    )
-
-
-def _sweep_points_serial(
-    problem: MedCCProblem,
-    schedulers: Sequence[Scheduler],
-    numbered: list[tuple[int, float]],
-) -> list[BudgetSweepPoint]:
-    """All sweep cells in-process, batching the budget axis per scheduler.
-
-    A scheduler exposing ``solve_batch`` (the incremental Critical-Greedy
-    engine over :class:`~repro.core.fastpath.BatchedSweep`) solves every
-    budget level in one structure-of-arrays run; its per-level results
-    are byte-identical to serial ``solve`` calls, so the sweep points —
-    and therefore every experiment built on them — are unchanged.
-    Schedulers without a batch path keep the per-level loop.
-    """
-    med: list[dict[str, float]] = [{} for _ in numbered]
-    cost: list[dict[str, float]] = [{} for _ in numbered]
-    for scheduler in schedulers:
-        solve_batch = getattr(scheduler, "solve_batch", None)
-        if solve_batch is not None and len(numbered) > 1:
-            results = solve_batch(problem, [budget for _, budget in numbered])
-        else:
-            results = [scheduler.solve(problem, budget) for _, budget in numbered]
-        for idx, result in enumerate(results):
-            result.assert_feasible()
-            med[idx][scheduler.name] = result.med
-            cost[idx][scheduler.name] = result.total_cost
-    return [
-        BudgetSweepPoint(
-            budget_level=level, budget=float(budget), med=med[idx], cost=cost[idx]
-        )
-        for idx, (level, budget) in enumerate(numbered)
-    ]
-
-
-def _sweep_chunk_worker(
-    args: tuple[MedCCProblem, tuple[Scheduler, ...], list[tuple[int, float]]],
-) -> list[BudgetSweepPoint]:
-    """Top-level (picklable) worker: solve a contiguous chunk of levels."""
-    problem, schedulers, chunk = args
-    return [_solve_point(problem, schedulers, level, budget) for level, budget in chunk]
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    """Split ``items`` into at most ``n`` contiguous, near-even chunks."""
-    n = min(n, len(items))
-    bounds = np.linspace(0, len(items), n + 1).astype(int)
-    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
 def sweep_budgets(
     problem: MedCCProblem,
     schedulers: Sequence[Scheduler],
     *,
     levels: int = 20,
     budgets: Sequence[float] | None = None,
-    n_jobs: int | str = 1,
 ) -> BudgetSweepResult:
     """Run every scheduler at every budget level of one instance.
+
+    A scheduler exposing ``solve_batch`` (Critical-Greedy over
+    :class:`~repro.core.fastpath.BatchedSweep`) solves every budget level
+    in one structure-of-arrays run; its per-level results are
+    byte-identical to serial ``solve`` calls, so the sweep points — and
+    therefore every experiment built on them — are unchanged.
+    Schedulers without a batch path keep the per-level loop.
 
     Parameters
     ----------
@@ -222,43 +94,35 @@ def sweep_budgets(
         ignored when explicit ``budgets`` are given.
     budgets:
         Explicit budget values (e.g. the WRF budgets of Table VII).
-    n_jobs:
-        Process-pool width.  ``1`` (default) runs serially in-process,
-        where schedulers exposing ``solve_batch`` vectorize the whole
-        budget axis into one structure-of-arrays run (usually faster
-        than any pool width — see ``docs/performance.md``); ``> 1``
-        partitions the budget levels into contiguous chunks across
-        worker processes; ``"auto"`` sizes the pool from the effective
-        CPU affinity and stays serial for small grids
-        (:func:`resolve_n_jobs`).  Every (level, scheduler) cell is an
-        independent deterministic solve and the batched path is
-        byte-identical to per-level solves, so the result is equal for
-        any value.
     """
     if not schedulers:
         raise ExperimentError("need at least one scheduler to sweep")
     budget_values = (
         list(budgets) if budgets is not None else problem.budget_levels(levels)
     )
-    numbered = list(enumerate(budget_values, start=1))
-    workers = resolve_n_jobs(n_jobs, len(numbered))
-    if workers == 1 or len(numbered) <= 1:
-        points = _sweep_points_serial(problem, schedulers, numbered)
-    else:
-        tasks = [
-            (problem, tuple(schedulers), chunk) for chunk in _chunks(numbered, workers)
-        ]
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            points = [
-                point
-                for chunk_points in pool.map(_sweep_chunk_worker, tasks)
-                for point in chunk_points
-            ]
+    med: list[dict[str, float]] = [{} for _ in budget_values]
+    cost: list[dict[str, float]] = [{} for _ in budget_values]
+    for scheduler in schedulers:
+        solve_batch = getattr(scheduler, "solve_batch", None)
+        if solve_batch is not None and len(budget_values) > 1:
+            results = solve_batch(problem, budget_values)
+        else:
+            results = [scheduler.solve(problem, budget) for budget in budget_values]
+        for idx, result in enumerate(results):
+            result.assert_feasible()
+            med[idx][scheduler.name] = result.med
+            cost[idx][scheduler.name] = result.total_cost
+    points = tuple(
+        BudgetSweepPoint(
+            budget_level=idx + 1, budget=float(budget), med=med[idx], cost=cost[idx]
+        )
+        for idx, budget in enumerate(budget_values)
+    )
     return BudgetSweepResult(
         problem_size=problem.problem_size,
         cmin=problem.cmin,
         cmax=problem.cmax,
-        points=tuple(points),
+        points=points,
     )
 
 
@@ -299,14 +163,6 @@ class InstanceComparison:
         return out
 
 
-def _sweep_instance_worker(
-    args: tuple[MedCCProblem, tuple[Scheduler, ...], int],
-) -> BudgetSweepResult:
-    """Top-level (picklable) worker: full budget sweep of one instance."""
-    problem, schedulers, levels = args
-    return sweep_budgets(problem, schedulers, levels=levels)
-
-
 def compare_on_instances(
     make_problem,
     schedulers: Sequence[Scheduler],
@@ -314,40 +170,18 @@ def compare_on_instances(
     instances: int,
     levels: int = 20,
     seed: int = 0,
-    n_jobs: int | str = 1,
 ) -> InstanceComparison:
     """Sweep ``instances`` random instances produced by ``make_problem(rng)``.
 
     ``make_problem`` receives a child :class:`numpy.random.Generator` per
     instance (spawned deterministically from ``seed``), so experiments are
-    reproducible and instances independent.
-
-    With ``n_jobs > 1`` (or ``"auto"``, resolved per
-    :func:`resolve_n_jobs`) the per-instance sweeps are distributed over
-    a process pool, one task per instance, with the ``map`` chunksize
-    sized to roughly four dispatch rounds per worker — large enough to
-    amortize pickling, small enough to balance uneven instances.  The
-    problems themselves are always built serially in the parent process,
-    so the ``rng.spawn`` seeding — and therefore every instance — is
-    identical for any ``n_jobs``; sweeps are returned in instance order.
+    reproducible and instances independent; sweeps are returned in
+    instance order.
     """
     if instances < 1:
         raise ExperimentError("need at least one instance")
-    workers = resolve_n_jobs(n_jobs, instances)
-    root = np.random.default_rng(seed)
-    children = root.spawn(instances)
-    problems = [make_problem(rng) for rng in children]
-    size = problems[-1].problem_size
-    if workers == 1 or len(problems) == 1:
-        sweeps = [
-            sweep_budgets(problem, schedulers, levels=levels) for problem in problems
-        ]
-    else:
-        tasks = [(problem, tuple(schedulers), levels) for problem in problems]
-        workers = min(workers, len(tasks))
-        chunksize = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sweeps = list(
-                pool.map(_sweep_instance_worker, tasks, chunksize=chunksize)
-            )
-    return InstanceComparison(problem_size=size, sweeps=tuple(sweeps))
+    sweeps = tuple(
+        sweep_budgets(make_problem(rng), schedulers, levels=levels)
+        for rng in np.random.default_rng(seed).spawn(instances)
+    )
+    return InstanceComparison(problem_size=sweeps[-1].problem_size, sweeps=sweeps)

@@ -18,8 +18,6 @@ from repro.core.fastpath import (
     FastPathResult,
     GraphIndex,
     fast_critical_path,
-    kernel_enabled,
-    set_kernel_enabled,
 )
 from repro.core.matrices import TimeCostMatrices, compute_matrices
 from repro.core.module import DataDependency, Module
@@ -45,8 +43,6 @@ __all__ = [
     "FastPathResult",
     "GraphIndex",
     "fast_critical_path",
-    "kernel_enabled",
-    "set_kernel_enabled",
     "TimeCostMatrices",
     "compute_matrices",
     "Module",

@@ -62,16 +62,15 @@ result:
   This is the kernel behind ``CriticalGreedyScheduler.solve_batch``:
   one graph, B budgets, one numpy kernel per Critical-Greedy step.
 
-The reference implementation is retained untouched as the ground truth;
-``REPRO_FASTPATH=0`` (or :func:`set_kernel_enabled`) routes
-:meth:`Schedule.evaluate` back through it, which is how the benchmark
-harness (``benchmarks/bench_fastpath.py``) measures the speedup and how
-the property tests assert equivalence.
+The reference implementation in :mod:`repro.core.critical_path` is
+retained untouched as the ground truth: the property tests compare the
+kernel against it directly, the Critical-Greedy test oracle
+(:mod:`repro.algorithms.oracle`) evaluates every schedule through it,
+and ``benchmarks/bench_fastpath.py`` times both.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,42 +95,12 @@ __all__ = [
     "critical_row_mask_batch",
     "fast_critical_path",
     "evaluate_assignment_vectors",
-    "kernel_enabled",
-    "set_kernel_enabled",
 ]
 
 
 #: Critical-slack tolerance, re-exported from the reference implementation
 #: so kernel callers share the exact same threshold.
 SLACK_TOL = _SLACK_TOL
-
-_KERNEL_ENABLED = os.environ.get("REPRO_FASTPATH", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def kernel_enabled() -> bool:
-    """Whether :meth:`Schedule.evaluate` routes through the fast kernel."""
-    return _KERNEL_ENABLED
-
-
-def set_kernel_enabled(enabled: bool) -> bool:
-    """Enable/disable the fast kernel globally; returns the previous state.
-
-    Disabling falls back to the reference implementation in
-    :mod:`repro.core.critical_path` everywhere — results are identical
-    either way (continuously asserted by the test suite and the CI
-    perf-smoke gate); the switch exists so benchmarks can measure the
-    pre-kernel implementation and tests can cross-check both paths.
-    """
-    global _KERNEL_ENABLED
-    previous = _KERNEL_ENABLED
-    _KERNEL_ENABLED = bool(enabled)
-    return previous
-
 
 @dataclass(frozen=True)
 class GraphIndex:
@@ -427,7 +396,8 @@ def critical_row_mask(
 
     ``mask[i]`` is true iff the module of row ``i`` has slack
     ``lst - est <= tol``.  This is the one candidate routine shared by
-    both non-reference Critical-Greedy engines and
+    Critical-Greedy's production loops (through
+    :meth:`IncrementalSweep.critical_rows` and :class:`BatchedSweep`) and
     :meth:`FastPathResult.critical_schedulable_rows`; the comparison is
     performed on the exact same float values as the reference scan, so
     the selected rows are identical.
@@ -1454,8 +1424,7 @@ def evaluate_assignment_vectors(
 
     ``columns[i]`` is the VM-type column chosen for TE/CE row ``i``
     (schedulable modules in topological order).  This is the zero-dict
-    entry point used by :meth:`Schedule.evaluate` and the fast
-    Critical-Greedy engine.
+    entry point used by :meth:`Schedule.evaluate`.
     """
     index = graph_index(workflow)
     durations = list(index.base_durations)

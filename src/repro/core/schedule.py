@@ -20,7 +20,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core import fastpath
-from repro.core.critical_path import CriticalPathAnalysis, analyze_critical_path
+from repro.core.critical_path import CriticalPathAnalysis
 from repro.core.matrices import TimeCostMatrices
 from repro.core.workflow import Workflow
 from repro.exceptions import ScheduleError
@@ -167,22 +167,13 @@ class Schedule:
     ) -> "ScheduleEvaluation":
         """Full evaluation: cost, makespan and critical-path analysis.
 
-        Routed through the array kernel (:mod:`repro.core.fastpath`) by
-        default; the ``analysis`` facade materializes its name-keyed
-        dicts lazily, so callers that only read cost/makespan never pay
-        for them.  ``REPRO_FASTPATH=0`` (or
-        :func:`repro.core.fastpath.set_kernel_enabled`) falls back to the
-        dict-based reference path; both produce bit-identical results.
+        Routed through the array kernel (:mod:`repro.core.fastpath`); the
+        ``analysis`` facade materializes its name-keyed dicts lazily, so
+        callers that only read cost/makespan never pay for them.  The
+        result is bit-identical to
+        :func:`~repro.core.critical_path.analyze_critical_path` over
+        :meth:`durations` (asserted by the test suite).
         """
-        if not fastpath.kernel_enabled():
-            durations = self.durations(workflow, matrices)
-            analysis = analyze_critical_path(workflow, durations, transfer_times)
-            return ScheduleEvaluation(
-                schedule=self,
-                total_cost=self.total_cost(matrices),
-                makespan=analysis.makespan,
-                analysis=analysis,
-            )
         self.validate(matrices)
         columns = [self.assignment[name] for name in matrices.module_names]
         result = fastpath.evaluate_assignment_vectors(

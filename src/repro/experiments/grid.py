@@ -60,18 +60,12 @@ def compute_improvement_grid(
     instances: int = 10,
     levels: int = 20,
     seed: int = 911,
-    n_jobs: int | str = 1,
 ) -> ImprovementGrid:
     """Compute (and cache) the CG-over-GAIN3 improvement grid.
 
     For each (size, budget level) cell the value is the mean over
     ``instances`` random instances of
     ``(MED_GAIN - MED_CG) / MED_GAIN * 100``.
-
-    ``n_jobs`` (an int or ``"auto"``) is forwarded to
-    :func:`repro.analysis.sweep.sweep_budgets` (per-sweep budget-level
-    parallelism); the grid values are identical for any ``n_jobs``, so
-    the cache key including it is harmless.
     """
     cg = CriticalGreedyScheduler()
     gain = Gain3Scheduler()
@@ -82,7 +76,7 @@ def compute_improvement_grid(
         per_level = np.zeros(levels)
         for rng in root.spawn(instances):
             problem = generate_problem(size, rng)
-            sweep = sweep_budgets(problem, [cg, gain], levels=levels, n_jobs=n_jobs)
+            sweep = sweep_budgets(problem, [cg, gain], levels=levels)
             per_level += np.array(
                 [
                     improvement_percent(

@@ -26,8 +26,8 @@ The zero-drift identity is bit-exact by construction: the projected
 cost is seeded from the offline run's own accumulator (the last step's
 ``cost_after``), actual costs are billed through the same
 ``BillingPolicy`` arithmetic that built the CE matrix, and the grids are
-refreshed with the exact subtractions ``_solve_incremental`` performs —
-so replaying a drift-free trace leaves no affordable step and the
+refreshed with the exact subtractions ``CriticalGreedyScheduler.solve``
+performs — so replaying a drift-free trace leaves no affordable step and the
 revision counter stays 0 (property-tested in ``tests/live``).
 
 Thread safety: instances are *not* thread-safe; the
@@ -593,7 +593,7 @@ class LiveWorkflow:
         """Move one pending row to type ``j``; exact incremental updates.
 
         Identical arithmetic to the offline step application in
-        ``CriticalGreedyScheduler._solve_incremental`` — same row
+        ``CriticalGreedyScheduler.solve`` — same row
         refreshes, same accumulator addition, same delta sweep.
         """
         dc = float(self._ce[row, j] - self._current_ce[row])

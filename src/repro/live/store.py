@@ -95,7 +95,7 @@ __all__ = ["LiveWorkflowManager", "ParsedRegistration", "PeerLink", "MAX_RECORD_
 _ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
 #: Scheduler knobs a registration may override.
-_ALLOWED_PARAMS = frozenset({"candidate_scope", "transfer_aware", "engine"})
+_ALLOWED_PARAMS = frozenset({"candidate_scope", "transfer_aware"})
 
 #: Per-record size bound for log reads and sync imports.  A single
 #: record beyond this is corruption (or a hostile peer), not a reason to

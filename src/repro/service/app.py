@@ -377,7 +377,7 @@ class SchedulingService:
                                            # problem_to_dict() body
               "budget":    57.0,           # required
               "algorithm": "critical-greedy",   # optional
-              "params":    {"engine": "fast"},  # optional scheduler knobs
+              "params":    {"candidate_scope": "all"},  # optional knobs
               "timeout":   10.0            # optional per-job timeout (s)
             }
 

@@ -12,8 +12,9 @@ The memoizing result store (:mod:`repro.service.cache`) is keyed by
   the property that turns re-submissions into cache hits.
 * :func:`params_hash` — SHA-256 over the algorithm name, the budget and
   the scheduler's declared knobs
-  (:func:`repro.algorithms.base.declared_params`), so ``engine="fast"``
-  and ``engine="reference"`` runs never share a cache slot.
+  (:func:`repro.algorithms.base.declared_params`), so
+  ``candidate_scope="critical"`` and ``candidate_scope="all"`` runs never
+  share a cache slot.
 
 Hashes are plain hex strings; :class:`RequestKey` bundles the triple and
 derives the file name for the disk cache tier.

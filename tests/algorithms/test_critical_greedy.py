@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
 from repro.algorithms.exhaustive import ExhaustiveScheduler
+from repro.algorithms.oracle import reference_solve
 from repro.exceptions import InfeasibleBudgetError
 from repro.workloads.example import EXAMPLE_BUDGET_BANDS
 
@@ -179,31 +180,41 @@ def _assert_identical(ref, other):
     assert other.evaluation.total_cost == ref.evaluation.total_cost
 
 
+def _production(loop, scheduler, problem, budget):
+    """One production loop's result at ``budget``.
+
+    ``"incremental"`` is the serial ``solve``; ``"batched"`` is a
+    ``solve_batch`` row, with the budget range's ends in the same batch
+    so the rows advance through the shared ``BatchedSweep`` loop.
+    """
+    if loop == "incremental":
+        return scheduler.solve(problem, budget)
+    return scheduler.solve_batch(problem, [problem.cmax, budget, problem.cmin])[1]
+
+
 class TestEngineEquivalence:
-    """All three engines must be indistinguishable from each other."""
+    """Both production loops must be indistinguishable from the oracle."""
 
     def test_default_engine_is_incremental(self):
+        from repro.algorithms import declared_params
+
+        # One production loop: ``engine`` is a reported label, not a knob.
         assert CriticalGreedyScheduler().engine == "incremental"
+        assert "engine" not in declared_params(CriticalGreedyScheduler())
 
-    def test_invalid_engine_rejected(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            CriticalGreedyScheduler(engine="turbo")
-
-    @pytest.mark.parametrize("engine", ["incremental", "fast"])
+    @pytest.mark.parametrize("loop", ["incremental", "batched"])
     @pytest.mark.parametrize("budget", [48.0, 52.0, 57.0, 64.0])
-    def test_identical_on_paper_example(self, example_problem, budget, engine):
-        ref = CriticalGreedyScheduler(engine="reference").solve(example_problem, budget)
-        other = CriticalGreedyScheduler(engine=engine).solve(example_problem, budget)
+    def test_identical_on_paper_example(self, example_problem, budget, loop):
+        ref = reference_solve(example_problem, budget)
+        other = _production(loop, CriticalGreedyScheduler(), example_problem, budget)
         _assert_identical(ref, other)
         assert other.extras == ref.extras
 
-    @pytest.mark.parametrize("engine", ["incremental", "fast"])
-    def test_identical_on_wrf(self, wrf_problem, engine):
+    @pytest.mark.parametrize("loop", ["incremental", "batched"])
+    def test_identical_on_wrf(self, wrf_problem, loop):
         budget = 0.5 * (wrf_problem.cmin + wrf_problem.cmax)
-        ref = CriticalGreedyScheduler(engine="reference").solve(wrf_problem, budget)
-        other = CriticalGreedyScheduler(engine=engine).solve(wrf_problem, budget)
+        ref = reference_solve(wrf_problem, budget)
+        other = _production(loop, CriticalGreedyScheduler(), wrf_problem, budget)
         _assert_identical(ref, other)
 
     @pytest.mark.parametrize("scope", ["critical", "all"])
@@ -224,14 +235,10 @@ class TestEngineEquivalence:
                     problem, transfers=TransferModel(bandwidth=2.0, latency=0.5)
                 )
             budget = 0.6 * problem.cmin + 0.4 * problem.cmax
-            ref = CriticalGreedyScheduler(
-                candidate_scope=scope, engine="reference"
-            ).solve(problem, budget)
-            for engine in ("incremental", "fast"):
-                other = CriticalGreedyScheduler(
-                    candidate_scope=scope, engine=engine
-                ).solve(problem, budget)
-                _assert_identical(ref, other)
+            ref = reference_solve(problem, budget, candidate_scope=scope)
+            scheduler = CriticalGreedyScheduler(candidate_scope=scope)
+            for loop in ("incremental", "batched"):
+                _assert_identical(ref, _production(loop, scheduler, problem, budget))
 
     @given(pb=problems_with_budgets())
     @settings(max_examples=25, deadline=None)
@@ -239,50 +246,47 @@ class TestEngineEquivalence:
         problem, budget = pb
         if budget < problem.cmin:
             return  # infeasible budgets raise identically; covered elsewhere
-        ref = CriticalGreedyScheduler(engine="reference").solve(problem, budget)
-        for engine in ("incremental", "fast"):
-            other = CriticalGreedyScheduler(engine=engine).solve(problem, budget)
+        ref = reference_solve(problem, budget)
+        for loop in ("incremental", "batched"):
+            other = _production(loop, CriticalGreedyScheduler(), problem, budget)
             _assert_identical(ref, other)
+
+    def test_transfer_blind_ablation_matches_oracle(self):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core.problem import TransferModel
+        from repro.workloads.generator import generate_problem
+
+        problem = dataclasses.replace(
+            generate_problem((12, 25, 4), np.random.default_rng(7)),
+            transfers=TransferModel(bandwidth=2.0, latency=0.5),
+        )
+        budget = 0.5 * (problem.cmin + problem.cmax)
+        ref = reference_solve(problem, budget, transfer_aware=False)
+        scheduler = CriticalGreedyScheduler(transfer_aware=False)
+        for loop in ("incremental", "batched"):
+            _assert_identical(ref, _production(loop, scheduler, problem, budget))
 
 
 class TestIncrementalEngineInternals:
-    """Workspace reuse, pickling and the vectorized argmax guards."""
+    """Pickling and the vectorized argmax guards."""
 
-    def test_workspace_reused_across_budgets(self, example_problem):
-        cg = CriticalGreedyScheduler(engine="incremental")
-        budgets = example_problem.budget_levels(6)
-        for budget in budgets:
-            ref = CriticalGreedyScheduler(engine="reference").solve(
-                example_problem, budget
-            )
-            _assert_identical(ref, cg.solve(example_problem, budget))
-        workspace = cg._workspace
-        assert workspace is not None
-        assert workspace.problem_ref() is example_problem
-        # Switching problems rebuilds the workspace instead of reusing it.
-        import numpy as np
-
-        from repro.workloads.generator import generate_problem
-
-        other_problem = generate_problem((8, 12, 3), np.random.default_rng(3))
-        other_budget = 0.5 * (other_problem.cmin + other_problem.cmax)
-        ref = CriticalGreedyScheduler(engine="reference").solve(
-            other_problem, other_budget
-        )
-        _assert_identical(ref, cg.solve(other_problem, other_budget))
-        assert cg._workspace is not workspace
-
-    def test_workspace_does_not_leak_into_equality_or_pickle(self, example_problem):
+    def test_pickle_round_trip(self, example_problem):
         import pickle
 
-        cg = CriticalGreedyScheduler(engine="incremental")
-        fresh = CriticalGreedyScheduler(engine="incremental")
+        cg = CriticalGreedyScheduler(candidate_scope="all")
         cg.solve(example_problem, 57.0)
-        assert cg == fresh  # the cached workspace is invisible to __eq__
         clone = pickle.loads(pickle.dumps(cg))
-        assert clone._workspace is None
-        ref = CriticalGreedyScheduler(engine="reference").solve(example_problem, 57.0)
-        _assert_identical(ref, clone.solve(example_problem, 57.0))
+        assert clone == cg
+        _assert_identical(
+            cg.solve(example_problem, 57.0), clone.solve(example_problem, 57.0)
+        )
+        _assert_identical(
+            reference_solve(example_problem, 57.0, candidate_scope="all"),
+            clone.solve(example_problem, 57.0),
+        )
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -6,8 +6,9 @@ same schedule assignment, the same rescheduling step trace (module, type
 and deltas), the same MED, cost and extras as ``solve(problem,
 budgets[i])`` — for random DAGs (with transfers), random/unsorted/
 duplicated budget grids, and adversarial near-tie ΔT/ΔC catalogs that
-force the grouped argmax onto its exact per-member fallback.  The serial
-oracle is checked on both the incremental and the reference engine.
+force the grouped argmax onto its exact per-member fallback.  Rows are
+checked against both the production serial ``solve`` and the test oracle
+(:func:`repro.algorithms.oracle.reference_solve`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
+from repro.algorithms.oracle import reference_solve
 from repro.core.module import DataDependency, Module
 from repro.core.problem import MedCCProblem, TransferModel
 from repro.core.vm import VMType, VMTypeCatalog
@@ -39,11 +41,11 @@ def _assert_rows_identical(serial, batched, context=""):
 
 
 def _assert_batch_matches_serial(scheduler, problem, budgets, oracle=None):
-    oracle = oracle or scheduler
+    oracle = oracle or scheduler.solve
     batched = scheduler.solve_batch(problem, budgets)
     assert len(batched) == len(budgets)
     for i, budget in enumerate(budgets):
-        serial = oracle.solve(problem, budget)
+        serial = oracle(problem, budget)
         _assert_rows_identical(serial, batched[i], f"budget[{i}]={budget}")
 
 
@@ -87,9 +89,8 @@ def test_batch_matches_serial_incremental(problem, data, with_transfers):
 def test_batch_matches_reference_engine(problem, data):
     """The batched rows equal the original implementation's solves too."""
     scheduler = CriticalGreedyScheduler()
-    reference = CriticalGreedyScheduler(engine="reference")
     budgets = _budget_grid(data, problem, max_levels=4)
-    _assert_batch_matches_serial(scheduler, problem, budgets, oracle=reference)
+    _assert_batch_matches_serial(scheduler, problem, budgets, oracle=reference_solve)
 
 
 @given(problem=medcc_problems(max_modules=6, max_types=3), data=st.data())
@@ -134,13 +135,12 @@ def _tie_problem(delta: float, parallel: int = 4) -> MedCCProblem:
 def test_near_tie_deltas_stay_identical(delta):
     problem = _tie_problem(delta)
     scheduler = CriticalGreedyScheduler()
-    reference = CriticalGreedyScheduler(engine="reference")
     lo, hi = problem.budget_range()
     # Band edges and interiors: every parallel module upgraded one at a
     # time ties (or nearly ties) with its siblings at each step.
     budgets = [lo + frac * (hi - lo) for frac in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)]
     _assert_batch_matches_serial(scheduler, problem, budgets)
-    _assert_batch_matches_serial(scheduler, problem, budgets, oracle=reference)
+    _assert_batch_matches_serial(scheduler, problem, budgets, oracle=reference_solve)
 
 
 def test_near_tie_mixed_budget_order(example_problem):
@@ -169,11 +169,6 @@ class TestBatchContract:
         lo, _ = example_problem.budget_range()
         with pytest.raises(InfeasibleBudgetError):
             scheduler.solve_batch(example_problem, [57.0, lo - 1.0])
-
-    def test_non_incremental_engine_falls_back(self, example_problem):
-        scheduler = CriticalGreedyScheduler(engine="fast")
-        budgets = [49.0, 57.0, 64.0]
-        _assert_batch_matches_serial(scheduler, example_problem, budgets)
 
     def test_extras_report_per_row_iterations(self, example_problem):
         scheduler = CriticalGreedyScheduler()

@@ -4,12 +4,7 @@ import pytest
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
 from repro.algorithms.gain import Gain3Scheduler
-from repro.analysis.sweep import (
-    compare_on_instances,
-    effective_cpu_count,
-    resolve_n_jobs,
-    sweep_budgets,
-)
+from repro.analysis.sweep import compare_on_instances, sweep_budgets
 from repro.exceptions import ExperimentError
 from repro.workloads.generator import generate_problem
 
@@ -137,111 +132,3 @@ class TestCompareOnInstances:
     def test_zero_instances_rejected(self):
         with pytest.raises(ExperimentError):
             compare_on_instances(lambda rng: None, [], instances=0)
-
-
-class TestParallelSweeps:
-    """n_jobs > 1 must return results equal to the serial path."""
-
-    def test_sweep_budgets_n_jobs_parity(self, example_problem):
-        schedulers = [CriticalGreedyScheduler(), Gain3Scheduler()]
-        serial = sweep_budgets(example_problem, schedulers, levels=6)
-        parallel = sweep_budgets(example_problem, schedulers, levels=6, n_jobs=2)
-        assert parallel == serial
-
-    def test_sweep_budgets_explicit_budgets_n_jobs(self, example_problem):
-        budgets = [50.0, 55.0, 60.0]
-        serial = sweep_budgets(example_problem, [CriticalGreedyScheduler()], budgets=budgets)
-        parallel = sweep_budgets(
-            example_problem, [CriticalGreedyScheduler()], budgets=budgets, n_jobs=3
-        )
-        assert parallel == serial
-
-    def test_compare_on_instances_n_jobs_parity(self):
-        def make(rng):
-            return generate_problem((5, 7, 3), rng)
-
-        kwargs = dict(instances=3, levels=3, seed=42)
-        serial = compare_on_instances(make, [CriticalGreedyScheduler()], **kwargs)
-        parallel = compare_on_instances(
-            make, [CriticalGreedyScheduler()], n_jobs=2, **kwargs
-        )
-        assert parallel == serial
-
-    def test_more_jobs_than_work_is_fine(self, example_problem):
-        serial = sweep_budgets(example_problem, [CriticalGreedyScheduler()], levels=2)
-        parallel = sweep_budgets(
-            example_problem, [CriticalGreedyScheduler()], levels=2, n_jobs=8
-        )
-        assert parallel == serial
-
-    def test_invalid_n_jobs_rejected(self, example_problem):
-        with pytest.raises(ExperimentError):
-            sweep_budgets(example_problem, [CriticalGreedyScheduler()], n_jobs=0)
-        with pytest.raises(ExperimentError):
-            compare_on_instances(
-                lambda rng: example_problem, [CriticalGreedyScheduler()],
-                instances=1, n_jobs=-1,
-            )
-
-
-class TestResolveNJobs:
-    """'auto' sizing: affinity-aware, serial for small grids."""
-
-    def test_explicit_int_passes_through(self):
-        assert resolve_n_jobs(1, 100) == 1
-        assert resolve_n_jobs(7, 2) == 7  # the caller asked; no clamping
-
-    @pytest.mark.parametrize("bad", [0, -3, True, False, 2.0, "many", None])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ExperimentError):
-            resolve_n_jobs(bad, 10)
-
-    def test_auto_serial_on_single_cpu(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.analysis.sweep.effective_cpu_count", lambda: 1
-        )
-        assert resolve_n_jobs("auto", 1000) == 1
-
-    def test_auto_serial_below_min_units(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.analysis.sweep.effective_cpu_count", lambda: 16
-        )
-        assert resolve_n_jobs("auto", 7) == 1
-
-    def test_auto_caps_at_affinity_and_units(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.analysis.sweep.effective_cpu_count", lambda: 4
-        )
-        # Plenty of units: use every effective CPU.
-        assert resolve_n_jobs("auto", 100) == 4
-        # 8 units: at least two units per worker caps the pool at 4.
-        assert resolve_n_jobs("auto", 8) == 4
-        monkeypatch.setattr(
-            "repro.analysis.sweep.effective_cpu_count", lambda: 64
-        )
-        # Never more workers than units // 2, regardless of CPUs.
-        assert resolve_n_jobs("auto", 10) == 5
-
-    def test_effective_cpu_count_positive(self):
-        cpus = effective_cpu_count()
-        assert cpus >= 1
-        import os
-
-        assert cpus <= (os.cpu_count() or cpus)
-
-    def test_auto_sweep_matches_serial(self, example_problem):
-        schedulers = [CriticalGreedyScheduler(), Gain3Scheduler()]
-        serial = sweep_budgets(example_problem, schedulers, levels=8)
-        auto = sweep_budgets(example_problem, schedulers, levels=8, n_jobs="auto")
-        assert auto == serial
-
-    def test_auto_compare_matches_serial(self):
-        def make(rng):
-            return generate_problem((5, 7, 3), rng)
-
-        kwargs = dict(instances=2, levels=3, seed=11)
-        serial = compare_on_instances(make, [CriticalGreedyScheduler()], **kwargs)
-        auto = compare_on_instances(
-            make, [CriticalGreedyScheduler()], n_jobs="auto", **kwargs
-        )
-        assert auto == serial

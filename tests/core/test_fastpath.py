@@ -116,19 +116,15 @@ def test_facade_materializes_lazily(diamond_problem):
     assert "est" in analysis.__dict__  # materialized on demand
 
 
-def test_kernel_toggle_roundtrip(diamond_problem):
+def test_schedule_evaluate_matches_reference(diamond_problem):
     schedule = diamond_problem.least_cost_schedule()
-    previous = fastpath.set_kernel_enabled(False)
-    try:
-        assert not fastpath.kernel_enabled()
-        off = schedule.evaluate(diamond_problem.workflow, diamond_problem.matrices)
-        fastpath.set_kernel_enabled(True)
-        on = schedule.evaluate(diamond_problem.workflow, diamond_problem.matrices)
-    finally:
-        fastpath.set_kernel_enabled(previous)
-    assert off.total_cost == on.total_cost
-    assert off.makespan == on.makespan
-    assert off.analysis == on.analysis
+    evaluation = schedule.evaluate(diamond_problem.workflow, diamond_problem.matrices)
+    ref = analyze_critical_path(
+        diamond_problem.workflow, _durations_for(diamond_problem, schedule)
+    )
+    assert evaluation.total_cost == schedule.total_cost(diamond_problem.matrices)
+    assert evaluation.makespan == ref.makespan
+    assert evaluation.analysis == ref
 
 
 def test_evaluate_assignment_vectors_matches_schedule_evaluate(diamond_problem):

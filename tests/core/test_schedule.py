@@ -144,16 +144,14 @@ class TestEvaluateKernelParity:
     """Schedule.evaluate: fast kernel and reference path agree exactly."""
 
     def test_kernel_and_reference_evaluations_match(self, least_cost):
-        from repro.core import fastpath
+        from repro.core.critical_path import analyze_critical_path
 
         problem = example_problem()
         on = least_cost.evaluate(problem.workflow, problem.matrices)
-        previous = fastpath.set_kernel_enabled(False)
-        try:
-            off = least_cost.evaluate(problem.workflow, problem.matrices)
-        finally:
-            fastpath.set_kernel_enabled(previous)
-        assert on.total_cost == off.total_cost
-        assert on.makespan == off.makespan
-        assert on.analysis == off.analysis
-        assert on.analysis.critical_path == off.analysis.critical_path
+        ref = analyze_critical_path(
+            problem.workflow, least_cost.durations(problem.workflow, problem.matrices)
+        )
+        assert on.total_cost == least_cost.total_cost(problem.matrices)
+        assert on.makespan == ref.makespan
+        assert on.analysis == ref
+        assert on.analysis.critical_path == ref.critical_path

@@ -58,6 +58,7 @@ class TestRegistration:
             {"budget": None},
             {"algorithm": "genetic"},
             {"params": {"nope": 1}},
+            {"params": {"engine": "fast"}},
             {"params": "fast"},
             {"workflow_id": "../escape"},
             {"workflow_id": ""},

@@ -78,15 +78,26 @@ class TestParseRequest:
 
     def test_explicit_default_param_hits_same_key(self, service, request_payload):
         bare = service.parse_head(request_payload)
-        request_payload["params"] = {"engine": "incremental"}
+        request_payload["params"] = {"candidate_scope": "critical"}
         explicit = service.parse_head(request_payload)
         assert bare.key == explicit.key
 
     def test_different_param_changes_key(self, service, request_payload):
         bare = service.parse_head(request_payload)
-        request_payload["params"] = {"engine": "reference"}
+        request_payload["params"] = {"candidate_scope": "all"}
         other = service.parse_head(request_payload)
         assert bare.key != other.key
+
+    def test_engine_param_rejected_with_declared_knobs(
+        self, service, request_payload
+    ):
+        # Critical-Greedy has one production loop; ``engine`` is not a knob.
+        request_payload["params"] = {"engine": "fast"}
+        with pytest.raises(ServiceError) as info:
+            service.parse_head(request_payload)
+        message = str(info.value)
+        assert "['engine']" in message
+        assert "declared knobs: ['candidate_scope', 'transfer_aware']" in message
 
 
 class TestMemoization:

@@ -88,8 +88,8 @@ class TestParamsHash:
         assert params_hash("cg", 10.0) != params_hash("cg", 20.0)
 
     def test_differs_by_params(self):
-        assert params_hash("cg", 10.0, {"engine": "fast"}) != params_hash(
-            "cg", 10.0, {"engine": "reference"}
+        assert params_hash("cg", 10.0, {"candidate_scope": "critical"}) != (
+            params_hash("cg", 10.0, {"candidate_scope": "all"})
         )
 
     def test_param_order_irrelevant(self):

@@ -50,6 +50,7 @@ from bench_fastpath import (
     _assert_equal_results,
     _make_problem,
     _time_best,
+    _time_best_cold,
 )
 from bench_meta import stamp_metadata
 
@@ -101,12 +102,13 @@ def run_scale(name: str, *, check_reference: bool = True) -> dict:
             )
             reference_rows += 1
 
-    # Both contenders are warm (first runs above).
+    # Both contenders are warm (first runs above); each serial repeat
+    # solves a fresh problem copy, so no memoized trace replays.
     gc.collect()
     batched_s = _time_best(lambda: cg.solve_batch(problem, budgets), repeats)
     gc.collect()
-    serial_s = _time_best(
-        lambda: [cg.solve(problem, budget) for budget in budgets], repeats
+    serial_s = _time_best_cold(
+        lambda fresh: [cg.solve(fresh, budget) for budget in budgets], problem, repeats
     )
 
     return {

@@ -45,7 +45,7 @@ import sys
 import time
 from pathlib import Path
 
-from bench_fastpath import SCALES, SEED, _make_problem, _time_best
+from bench_fastpath import SCALES, SEED, _make_problem, _time_best_cold
 from bench_meta import stamp_metadata
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
@@ -149,10 +149,11 @@ def run_scale(name: str, *, check: bool = False) -> dict:
     live_event_s = best_total / events
 
     # The stateless alternative: re-solve the whole problem from scratch
-    # (fresh scheduler, no warm workspace) — once per event.
+    # (fresh scheduler, fresh problem copy so no memoized trace replays)
+    # — once per event.
     gc.collect()
-    solve_s = _time_best(
-        lambda: CriticalGreedyScheduler().solve(problem, budget), repeats
+    solve_s = _time_best_cold(
+        lambda fresh: CriticalGreedyScheduler().solve(fresh, budget), problem, repeats
     )
 
     return {

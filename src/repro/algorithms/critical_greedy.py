@@ -29,6 +29,37 @@ search is a fully vectorized eps-aware lexicographic argmax
 as the scalar scan — falling back to the exact scalar scan in the rare
 near-tie cases where the eps-chained comparisons are order-dependent.
 
+**Trace-prefix warm start.**  The loop depends on the budget only
+through its affordability cutoff, so the step sequence at budget ``b``
+is the sequence at any larger budget ``B`` up to the first step ``b``
+cannot afford.  ``solve`` therefore memoizes, per problem instance and
+knob set (``candidate_scope``, ``transfer_aware``), the trace of the
+largest budget solved so far (:attr:`MedCCProblem.step_traces`), and a
+solve at ``b <= B`` replays stored step ``k`` from the state after steps
+``0..k-1`` — the same columns and the same float ``cost`` the loop would
+hold — while all three hold:
+
+1. ``b - cost > _EPS`` (the loop guard);
+2. ``step.cost_increase <= (b - cost) + _EPS`` (``b`` affords it);
+3. the stored pick came from :func:`_pick_step_vectorized`, not the
+   near-tie scan.
+
+This is exact: ``b``'s valid set is a subset of ``B``'s (same state,
+tighter cutoff) that still contains the stored winner, so the maximum
+``ΔT``, the minimum tie-class ``ΔC``, the first such entry, and both
+near-tie guards C1/C2 are all unchanged — the argument ``solve_batch``
+uses for its group picks.  A scan pick is never replayed: the
+eps-chained scan can settle on another entry once a more expensive one
+drops out.  On the first failed check the loop builds its
+``IncrementalSweep`` from the replayed columns (one full sweep, bitwise
+equal to the incrementally maintained state) and continues as usual;
+if the whole trace replays, the stored run stopped in this state for a
+reason a tighter budget keeps (exhausted budget, no critical row, no
+affordable move), so no sweep is built at all.  A solve above the
+stored budget runs cold and replaces the trace; entries are immutable
+and stored whole, so threads sharing a problem only ever see a valid
+trace.
+
 The original dict-and-networkx loop lives on as a test oracle in
 :mod:`repro.algorithms.oracle`; it is not registered and nothing in
 production selects it.  Production ``solve`` and ``solve_batch`` are
@@ -60,6 +91,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,6 +143,12 @@ def _pick_step_scan(
     return best_flat // num_types, best_flat % num_types, best_dt, best_dc
 
 
+#: Sentinel returned by :func:`_pick_step_vectorized` and
+#: :func:`_pick_steps_batched` for a grid whose near-tie guards tripped:
+#: the caller must run the exact scalar scan.
+_NEAR_TIE = object()
+
+
 def _pick_step(
     dt_all: np.ndarray,
     dc_all: np.ndarray,
@@ -121,8 +159,28 @@ def _pick_step(
 
     Returns the same ``(row, type, dt, dc)`` the scalar scan
     (:func:`_pick_step_scan`) selects, or ``None`` when no entry is
-    valid.  The scan's chained ``_EPS`` comparisons are order-dependent
-    only in two narrow situations, both detected vectorized:
+    valid: :func:`_pick_step_vectorized`, falling back to the scan when
+    that reports a near tie.
+    """
+    picked = _pick_step_vectorized(dt_all, dc_all, valid, num_types)
+    if picked is _NEAR_TIE:
+        return _pick_step_scan(dt_all, dc_all, valid, num_types)
+    return picked
+
+
+def _pick_step_vectorized(
+    dt_all: np.ndarray,
+    dc_all: np.ndarray,
+    valid: np.ndarray,
+    num_types: int,
+) -> tuple[int, int, float, float] | None | object:
+    """:func:`_pick_step`'s vectorized path, or :data:`_NEAR_TIE`.
+
+    Returns the scan's ``(row, type, dt, dc)`` selection (``None`` when
+    no entry is valid) whenever it is provably order-independent.  The
+    scan's chained ``_EPS`` comparisons are order-dependent only in two
+    narrow situations, both detected vectorized; then the result is the
+    :data:`_NEAR_TIE` sentinel and the caller runs the exact scan:
 
     * **C1** — some valid ``dt`` lies strictly within ``_EPS`` below the
       maximum ``M``.  Otherwise every update of the scan's running
@@ -138,10 +196,12 @@ def _pick_step(
       duplicates never do — the winner is the first exact-``M`` entry
       with ``dc == m2``.
 
-    When either guard trips (ties within ``(0, _EPS]`` of each other —
-    absent from every catalog in the test corpus, but possible), the
-    exact scalar scan runs instead, so selection is *provably* identical
-    in all cases.
+    Guards trip only on ties within ``(0, _EPS]`` of each other — absent
+    from every catalog in the test corpus, but possible.  Both guards and
+    the winner are monotone under shrinking ``valid``: dropping entries
+    other than the winner can neither trip a guard nor move the pick,
+    which is what lets :meth:`CriticalGreedyScheduler.solve` replay a
+    vectorized pick at a tighter budget (see the module docstring).
     """
     if dt_all.size == 0:
         return None
@@ -150,19 +210,14 @@ def _pick_step(
     if best_dt == -np.inf:
         return None
     if bool(np.any((dt_masked >= best_dt - _EPS) & (dt_masked < best_dt))):
-        return _pick_step_scan(dt_all, dc_all, valid, num_types)
+        return _NEAR_TIE
     tie = valid & (dt_all == best_dt)
     dc_masked = np.where(tie, dc_all, np.inf)
     best_dc = float(dc_masked.min())
     if bool(np.any((dc_masked > best_dc) & (dc_masked <= best_dc + _EPS))):
-        return _pick_step_scan(dt_all, dc_all, valid, num_types)
+        return _NEAR_TIE
     flat = int(np.argmax((tie & (dc_all == best_dc)).ravel()))
     return flat // num_types, flat % num_types, best_dt, best_dc
-
-
-#: Sentinel returned by :func:`_pick_steps_batched` for a group whose
-#: near-tie guards tripped: the caller must run the exact per-row scan.
-_NEAR_TIE = object()
 
 
 def _pick_steps_batched(
@@ -284,6 +339,20 @@ class _BatchGroup:
         )
 
 
+class _Trace(NamedTuple):
+    """A memoized Critical-Greedy run: the largest budget solved so far.
+
+    ``rows[k]``/``steps[k]`` are step ``k``'s TE/CE row and step record;
+    only the first ``replayable`` steps came from the vectorized pick
+    (:func:`_pick_step_vectorized`), so only those may be replayed.
+    """
+
+    budget: float
+    rows: tuple[int, ...]
+    steps: tuple[ReschedulingStep, ...]
+    replayable: int
+
+
 @register_scheduler("critical-greedy")
 @dataclass
 class CriticalGreedyScheduler:
@@ -318,23 +387,47 @@ class CriticalGreedyScheduler:
             )
 
     def solve(self, problem: MedCCProblem, budget: float) -> SchedulerResult:
-        """Run Algorithm 1 and return the schedule, MED and full trace."""
+        """Run Algorithm 1 and return the schedule, MED and full trace.
+
+        Starts from the longest prefix of the problem's memoized trace
+        (:attr:`MedCCProblem.step_traces`) that provably repeats at
+        ``budget``, then runs the loop from there; a cold solve stores
+        its own trace.  See the module docstring for the replay rule.
+        """
         problem.check_feasible(budget)
         matrices = problem.matrices
         te, ce = matrices.te, matrices.ce
         num_modules, num_types = matrices.num_modules, matrices.num_types
         module_names = matrices.module_names
 
+        # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
+        # total cost, exactly as the oracle computes them.
+        columns = [int(j) for j in matrices.least_cost_choice()]
+        cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
+
+        memo_key = (self.candidate_scope, self.transfer_aware)
+        stored = problem.step_traces.get(memo_key)
+        warm = stored is not None and budget <= stored.budget
+        rows: list[int] = []
+        steps: list[ReschedulingStep] = []
+        if warm:
+            for row, step in zip(stored.rows[: stored.replayable], stored.steps):
+                extra = budget - cost
+                if not (extra > _EPS and step.cost_increase <= extra + _EPS):
+                    break
+                columns[row] = step.to_type
+                cost = step.cost_after
+                rows.append(row)
+                steps.append(step)
+            if len(steps) == len(stored.steps):
+                # The stored run stopped here, and so does this one.
+                return self._result(problem, budget, columns, steps)
+
         index = fastpath.graph_index(problem.workflow)
         transfer_times = problem.transfer_times if self.transfer_aware else None
         sweep = fastpath.IncrementalSweep(
             problem.workflow, transfer_times=transfer_times
         )
-
-        # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
-        # total cost, exactly as the oracle computes them.
-        columns = [int(j) for j in matrices.least_cost_choice()]
-        cost = problem.cost_of(Schedule._adopt(dict(zip(module_names, columns))))
 
         rows_arange = np.arange(num_modules)
         current_te = te[rows_arange, columns]
@@ -351,7 +444,8 @@ class CriticalGreedyScheduler:
         dt_all = current_te[:, None] - te
         dc_all = ce - current_ce[:, None]
 
-        steps: list[ReschedulingStep] = []
+        # Steps before the first near-tie (scan) pick: only those replay.
+        replayable: int | None = None
         scope_all = self.candidate_scope == "all"
         while budget - cost > _EPS:
             extra = budget - cost
@@ -363,7 +457,11 @@ class CriticalGreedyScheduler:
                 if not critical.any():
                     break
                 valid = affordable & critical[:, None]
-            picked = _pick_step(dt_all, dc_all, valid, num_types)
+            picked = _pick_step_vectorized(dt_all, dc_all, valid, num_types)
+            if picked is _NEAR_TIE:
+                if replayable is None:
+                    replayable = len(steps)
+                picked = _pick_step_scan(dt_all, dc_all, valid, num_types)
             if picked is None:
                 break
             row, j, best_dt, best_dc = picked
@@ -378,6 +476,7 @@ class CriticalGreedyScheduler:
             dc_all[row, :] = ce[row, :] - current_ce[row]
             cost += best_dc
             makespan = sweep.set_row_duration(row, new_time)
+            rows.append(row)
             steps.append(
                 ReschedulingStep(
                     module=module,
@@ -390,16 +489,17 @@ class CriticalGreedyScheduler:
                 )
             )
 
-        current = Schedule._adopt(dict(zip(module_names, columns)))
-        evaluation = self._evaluate(problem, current)
-        return SchedulerResult(
-            algorithm=self.name,
-            schedule=current,
-            evaluation=evaluation,
-            budget=budget,
-            steps=tuple(steps),
-            extras={"iterations": len(steps)},
-        )
+        if not warm:
+            # One dict store of an immutable entry: threads sharing the
+            # problem may overwrite each other, but only with a whole,
+            # valid trace.
+            problem.step_traces[memo_key] = _Trace(
+                budget=budget,
+                rows=tuple(rows),
+                steps=tuple(steps),
+                replayable=len(steps) if replayable is None else replayable,
+            )
+        return self._result(problem, budget, columns, steps)
 
     def solve_batch(
         self, problem: MedCCProblem, budgets: Sequence[float]
@@ -678,21 +778,26 @@ class CriticalGreedyScheduler:
             snapshot = finished[b]
             assert snapshot is not None  # every row retires exactly once
             columns, steps = snapshot
-            schedule = Schedule._adopt(dict(zip(module_names, columns)))
-            evaluation = self._evaluate(problem, schedule)
-            results.append(
-                SchedulerResult(
-                    algorithm=self.name,
-                    schedule=schedule,
-                    evaluation=evaluation,
-                    budget=budget,
-                    steps=steps,
-                    extras={"iterations": len(steps)},
-                )
-            )
+            results.append(self._result(problem, budget, columns, steps))
         return results
 
-    def _evaluate(self, problem: MedCCProblem, schedule: Schedule):
+    def _result(
+        self,
+        problem: MedCCProblem,
+        budget: float,
+        columns: list[int],
+        steps: Sequence[ReschedulingStep],
+    ) -> SchedulerResult:
+        schedule = Schedule._adopt(dict(zip(problem.matrices.module_names, columns)))
         if self.transfer_aware:
-            return problem.evaluate(schedule)
-        return schedule.evaluate(problem.workflow, problem.matrices, None)
+            evaluation = problem.evaluate(schedule)
+        else:
+            evaluation = schedule.evaluate(problem.workflow, problem.matrices, None)
+        return SchedulerResult(
+            algorithm=self.name,
+            schedule=schedule,
+            evaluation=evaluation,
+            budget=budget,
+            steps=tuple(steps),
+            extras={"iterations": len(steps)},
+        )

@@ -107,6 +107,18 @@ class MedCCProblem:
             self.workflow, self.catalog, self.billing, self.measured_te
         )
 
+    @cached_property
+    def step_traces(self) -> dict:
+        """Critical-Greedy's warm-start memo: one trace per knob set.
+
+        Cached in the instance ``__dict__`` like :attr:`matrices`, so it
+        is not a dataclass field: it takes no part in ``==`` or hashing,
+        and :func:`dataclasses.replace` starts a copy with it empty.
+        Entries are immutable and replaced whole (one ``dict`` store),
+        so threads sharing a problem never see a torn entry.
+        """
+        return {}
+
     @property
     def num_modules(self) -> int:
         """Number of schedulable modules ``m``."""

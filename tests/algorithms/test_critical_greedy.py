@@ -10,7 +10,7 @@ from repro.algorithms.oracle import reference_solve
 from repro.exceptions import InfeasibleBudgetError
 from repro.workloads.example import EXAMPLE_BUDGET_BANDS
 
-from tests.conftest import problems_with_budgets
+from tests.conftest import medcc_problems, problems_with_budgets
 
 
 @pytest.fixture
@@ -326,3 +326,255 @@ class TestIncrementalEngineInternals:
         assert _pick_step(dt, dc, valid, cols) == _pick_step_scan(
             dt, dc, valid, cols
         )
+
+
+def _warm_stream_cases():
+    """(problem, scheduler) params for the warm-start identity tests."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core.problem import TransferModel
+    from repro.workloads.example import example_problem
+    from repro.workloads.generator import generate_problem
+    from repro.workloads.wrf import wrf_problem
+    from tests.algorithms.test_critical_greedy_batch import _tie_problem
+
+    cases = [
+        pytest.param(example_problem(), CriticalGreedyScheduler(), id="example"),
+        pytest.param(wrf_problem(), CriticalGreedyScheduler(), id="wrf"),
+    ]
+    for seed in range(3):
+        problem = generate_problem((12, 25, 4), np.random.default_rng(2000 + seed))
+        transfers = dataclasses.replace(
+            problem, transfers=TransferModel(bandwidth=2.0, latency=0.5, unit_cost=0.1)
+        )
+        # Transfer-blind results leave the transfer charge out of their
+        # cost, so that ablation runs on free-of-charge transfers.
+        timed = dataclasses.replace(
+            problem, transfers=TransferModel(bandwidth=2.0, latency=0.5)
+        )
+        cases += [
+            pytest.param(problem, CriticalGreedyScheduler(), id=f"random-{seed}"),
+            pytest.param(
+                transfers, CriticalGreedyScheduler(), id=f"random-{seed}-transfers"
+            ),
+            pytest.param(
+                problem,
+                CriticalGreedyScheduler(candidate_scope="all"),
+                id=f"random-{seed}-all",
+            ),
+            pytest.param(
+                timed,
+                CriticalGreedyScheduler(transfer_aware=False),
+                id=f"random-{seed}-transfer-blind",
+            ),
+        ]
+    for delta in (0.0, 1e-12, 1e-10, 1e-9, 1e-6):
+        cases.append(
+            pytest.param(_tie_problem(delta), CriticalGreedyScheduler(), id=f"tie-{delta:g}")
+        )
+    return cases
+
+
+def _budget_orders(problem):
+    """Descending, shuffled and ascending streams over one budget range.
+
+    Each ends with a repeated budget, Cmin, Cmax and a budget above
+    everything solved before, so a stream exercises full replays,
+    partial replays, replays that stop at once and fresh cold solves.
+    """
+    import random
+
+    lo, hi = problem.budget_range()
+    grid = [lo + frac * (hi - lo) for frac in (0.03, 0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.95)]
+    shuffled = list(grid)
+    random.Random(11).shuffle(shuffled)
+    tail = [grid[3], grid[3], lo, hi, hi + 0.5 * (hi - lo)]
+    return {
+        "descending": sorted(grid, reverse=True) + tail,
+        "shuffled": shuffled + tail,
+        "ascending": sorted(grid) + tail,
+    }
+
+
+def _cold_solve(scheduler, problem, budget):
+    """A solve on a fresh copy of ``problem``: an empty warm-start memo."""
+    import dataclasses
+
+    return scheduler.solve(dataclasses.replace(problem), budget)
+
+
+class TestTracePrefixWarmStart:
+    """Serial ``solve`` replays the memoized trace of a larger budget.
+
+    Every warm answer must equal a cold solve on a fresh problem copy
+    (the whole :class:`SchedulerResult`, extras included) and the oracle.
+    """
+
+    @pytest.mark.parametrize("problem,scheduler", _warm_stream_cases())
+    @pytest.mark.parametrize("order", ["descending", "shuffled", "ascending"])
+    def test_warm_stream_equals_cold_and_oracle(self, problem, scheduler, order):
+        import dataclasses
+
+        problem = dataclasses.replace(problem)  # one memo per stream
+        for budget in _budget_orders(problem)[order]:
+            warm = scheduler.solve(problem, budget)
+            cold = _cold_solve(scheduler, problem, budget)
+            assert warm == cold, f"budget={budget}"
+            assert warm.extras == cold.extras
+            ref = reference_solve(
+                problem,
+                budget,
+                candidate_scope=scheduler.candidate_scope,
+                transfer_aware=scheduler.transfer_aware,
+            )
+            _assert_identical(ref, warm)
+            assert warm.extras == ref.extras
+
+    @given(
+        problem=medcc_problems(),
+        fracs=st.lists(st.floats(min_value=0.0, max_value=1.3), min_size=2, max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_budget_order_matches_oracle(self, problem, fracs):
+        lo, hi = problem.budget_range()
+        scheduler = CriticalGreedyScheduler()
+        for frac in fracs:
+            budget = lo + frac * (hi - lo)
+            warm = scheduler.solve(problem, budget)
+            assert warm == _cold_solve(scheduler, problem, budget)
+            _assert_identical(reference_solve(problem, budget), warm)
+
+    def test_lower_budget_replays_instead_of_resweeping(self, monkeypatch):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core import fastpath
+        from repro.workloads.generator import generate_problem
+
+        calls = {"set_duration": 0}
+        set_duration = fastpath.IncrementalSweep.set_duration
+
+        def counting(self, node, value):
+            calls["set_duration"] += 1
+            return set_duration(self, node, value)
+
+        monkeypatch.setattr(fastpath.IncrementalSweep, "set_duration", counting)
+        problem = generate_problem((30, 80, 5), np.random.default_rng(5))
+        lo, hi = problem.budget_range()
+        high, low = lo + 0.9 * (hi - lo), lo + 0.6 * (hi - lo)
+        scheduler = CriticalGreedyScheduler()
+
+        cold = scheduler.solve(dataclasses.replace(problem), low)
+        cold_updates = calls["set_duration"]
+        assert cold_updates == len(cold.steps) > 0
+
+        scheduler.solve(problem, high)
+        calls["set_duration"] = 0
+        warm = scheduler.solve(problem, low)
+        assert warm == cold
+        assert calls["set_duration"] < cold_updates
+
+        calls["set_duration"] = 0
+        repeat = scheduler.solve(problem, high)
+        assert calls["set_duration"] == 0  # a repeat budget replays whole
+        assert repeat == _cold_solve(scheduler, problem, high)
+
+    def test_threads_sharing_one_problem_match_cold_serial(self):
+        import dataclasses
+        import sys
+        import threading
+
+        import numpy as np
+
+        from repro.service import codec
+        from repro.workloads.generator import generate_problem
+
+        problem = generate_problem((40, 120, 5), np.random.default_rng(8))
+        lo, hi = problem.budget_range()
+        budgets = [lo + frac * (hi - lo) for frac in (0.9, 0.2, 0.7, 0.4, 1.1, 0.05, 0.55, 0.8)]
+        scheduler = CriticalGreedyScheduler()
+
+        def encoded(result):
+            return codec.dumps(codec.encode_result_fragment(result, problem.catalog))
+
+        expected = [
+            encoded(scheduler.solve(dataclasses.replace(problem), b)) for b in budgets
+        ]
+        shared = dataclasses.replace(problem)
+        results: list[str | None] = [None] * len(budgets)
+        barrier = threading.Barrier(len(budgets))
+
+        def run(i):
+            barrier.wait()
+            for _ in range(3):
+                results[i] = encoded(scheduler.solve(shared, budgets[i]))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(budgets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    def test_memo_stays_out_of_equality_hash_and_pickle_identity(self, example_problem):
+        import dataclasses
+        import pickle
+
+        fresh = dataclasses.replace(example_problem)
+        before = hash(example_problem)
+        scheduler = CriticalGreedyScheduler()
+        scheduler.solve(example_problem, 64.0)
+        assert example_problem.step_traces  # the memo was filled
+        assert not fresh.step_traces
+        assert example_problem == fresh
+        assert hash(example_problem) == before == hash(fresh)
+
+        clone = pickle.loads(pickle.dumps(example_problem))
+        assert clone == example_problem
+        for budget in (64.0, 57.0, 52.0, 48.0):
+            assert scheduler.solve(clone, budget) == scheduler.solve(fresh, budget)
+
+    def test_near_tie_pick_is_not_replayed(self):
+        """A scan pick may change at a tighter cutoff, so it never replays.
+
+        One module, three upgrades whose time decreases lie within
+        ``_EPS`` of each other.  With all three affordable the eps-chained
+        scan walks A -> C; without A it settles on B, so replaying the
+        stored pick at the lower budget would be wrong.
+        """
+        from repro.algorithms.critical_greedy import _EPS
+        from repro.core.billing import ExactBilling
+        from repro.core.module import Module
+        from repro.core.problem import MedCCProblem
+        from repro.core.vm import VMType, VMTypeCatalog
+        from repro.core.workflow import Workflow
+
+        times = (10.0, 9.0 - 1.8 * _EPS, 9.0 - 0.3 * _EPS, 9.0 - 0.9 * _EPS)
+        costs = (10.0, 14.0, 12.0, 13.0)
+        problem = MedCCProblem(
+            workflow=Workflow([Module("m", workload=1.0)]),
+            catalog=VMTypeCatalog(
+                [
+                    VMType(name=name, power=1.0, rate=cost / time)
+                    for name, cost, time in zip("SABC", costs, times)
+                ]
+            ),
+            billing=ExactBilling(),
+            measured_te={"m": times},
+        )
+        scheduler = CriticalGreedyScheduler()
+        high = scheduler.solve(problem, 14.0)
+        assert [s.to_type for s in high.steps] == [3]
+        low = scheduler.solve(problem, 13.5)
+        assert [s.to_type for s in low.steps] == [2]
+        assert low == _cold_solve(scheduler, problem, 13.5)
+        _assert_identical(reference_solve(problem, 13.5), low)

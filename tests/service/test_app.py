@@ -240,6 +240,19 @@ class TestProblemMemo:
         assert results == serial
         assert (problems["decode_misses"], problems["decode_hits"]) == (1, 8)
 
+    def test_lower_budget_on_a_memoized_problem_replays_identically(
+        self, service, request_payload
+    ):
+        # The second miss solves on the memoized problem, warm-started
+        # from the first solve's trace; its bytes match a cold service.
+        service.solve(dict(request_payload, budget=64.0))
+        response = service.solve(dict(request_payload, budget=52.0))
+        assert response["cache_hit"] is False
+        assert service.stats()["problems"]["decode_hits"] == 1
+        with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
+            expected = fresh.solve(dict(request_payload, budget=52.0))
+        assert dumps(response) == dumps(expected)
+
     def test_permuted_twin_catalog_solves_on_its_own_order(self, service, twin_catalogs):
         first, second = twin_catalogs
         service.solve({"problem": first, "budget": 57.0})

@@ -14,14 +14,19 @@ Two entry points:
   - Critical-Greedy end-to-end (s per solve, production ``solve`` vs the
     test oracle :func:`repro.algorithms.oracle.reference_solve`, which
     evaluates every step through the reference analysis),
-  - a serial budget sweep (s per grid, ``sweep_budgets``),
+  - a budget sweep (s per grid, ``sweep_budgets`` on a fresh problem),
   - a warm stream (ms per budget): 64 shuffled stratified budgets solved
     on one problem object, so each solve may replay the memoized trace
     of a larger budget, against the same budgets on fresh problem copies
     (cold, empty memo),
+  - a 10-level sweep (``sweep10``, s per sweep): one ``solve_batch`` call
+    over ``budget_levels(10)`` on a fresh problem, which walks the
+    budgets largest first over the trace memo, against a cold ``solve``
+    per level; the time ratio is recorded, never gated,
 
   and asserts the production results are *identical* (schedule, step
-  trace, MED, cost — no tolerance) to the oracle.  Every cold timing
+  trace, MED, cost — no tolerance) to the oracle and, for the warm
+  stream and ``sweep10``, to their cold twins.  Every cold timing
   runs on a fresh ``dataclasses.replace`` copy of the problem with its
   matrices already built, so a warm-start replay never flatters it.
   ``--check`` exits non-zero on any divergence, which is the CI
@@ -165,8 +170,9 @@ def _bench_cg(problem, budget: float) -> dict:
 
 def _bench_sweep(problem, levels: int) -> dict:
     cg = CriticalGreedyScheduler()
-    sweep_budgets(problem, [cg], levels=levels)
-    serial_s = _time_once(lambda: sweep_budgets(problem, [cg], levels=levels))
+    serial_s = _time_best_cold(
+        lambda fresh: sweep_budgets(fresh, [cg], levels=levels), problem, 1
+    )
     return {"levels": levels, "serial_s_per_grid": serial_s}
 
 
@@ -230,6 +236,57 @@ def _bench_warm_stream(problem, oracle_every: int) -> dict:
     }
 
 
+#: Budget levels of the sweep10 row.
+SWEEP_LEVELS = 10
+
+
+def _assert_equal_to_cold(cold_row, row, context: str) -> None:
+    """``==`` of two whole SchedulerResults, extras included."""
+    if row != cold_row or row.extras != cold_row.extras:
+        raise AssertionError(f"{context}: differs from its cold twin")
+
+
+def _bench_sweep10(problem, oracle_levels, repeats: int) -> dict:
+    """``solve_batch`` over a 10-level sweep vs a cold ``solve`` per level.
+
+    Each batch run gets a fresh problem copy, each cold solve its own,
+    so neither starts from a memoized trace.  Every batch row must equal
+    its cold twin, and the rows at ``oracle_levels`` the oracle.
+    """
+    cg = CriticalGreedyScheduler()
+    budgets = problem.budget_levels(SWEEP_LEVELS)
+    batch_s = cold_s = float("inf")
+    for _ in range(repeats):
+        fresh = _cold_copy(problem)
+        gc.collect()
+        start = time.perf_counter()
+        batched = cg.solve_batch(fresh, budgets)
+        batch_s = min(batch_s, time.perf_counter() - start)
+
+        copies = [_cold_copy(problem) for _ in budgets]
+        gc.collect()
+        start = time.perf_counter()
+        cold = [cg.solve(copy, budget) for copy, budget in zip(copies, budgets)]
+        cold_s = min(cold_s, time.perf_counter() - start)
+
+    for level, (cold_row, row) in enumerate(zip(cold, batched), start=1):
+        _assert_equal_to_cold(cold_row, row, f"sweep10 level {level} vs cold")
+    for idx in oracle_levels:
+        _assert_equal_results(
+            reference_solve(problem, budgets[idx]),
+            batched[idx],
+            f"sweep10 level {idx + 1} vs oracle",
+        )
+    return {
+        "levels": SWEEP_LEVELS,
+        "total_steps": sum(len(row.steps) for row in batched),
+        "oracle_rows_checked": len(oracle_levels),
+        "batch_s_per_sweep": batch_s,
+        "cold_s_per_sweep": cold_s,
+        "time_ratio": batch_s / cold_s,
+    }
+
+
 def run_scale(name: str) -> dict:
     size = SCALES[name]
     problem = _make_problem(size)
@@ -243,6 +300,13 @@ def run_scale(name: str) -> dict:
         "critical_greedy": _bench_cg(problem, budget),
         "sweep": _bench_sweep(problem, sweep_levels),
         "warm_stream": _bench_warm_stream(problem, 1 if name == "paper" else 16),
+        # Every level against the oracle at paper scale; the middle one
+        # at stress scale, where an oracle solve takes seconds.
+        "sweep10": _bench_sweep10(
+            problem,
+            range(SWEEP_LEVELS) if name == "paper" else [SWEEP_LEVELS // 2],
+            3 if name == "paper" else 1,
+        ),
     }
 
 
@@ -281,6 +345,15 @@ def main(argv=None) -> int:
                 f"{warm['warm_ms_per_budget']:.2f} ms per budget "
                 f"({warm['speedup']:.1f}x), "
                 f"{warm['oracle_rows_checked']} oracle rows checked",
+                flush=True,
+            )
+            sweep10 = payload["scales"][name]["sweep10"]
+            print(
+                f"[bench_fastpath]   {sweep10['levels']}-level sweep: cold "
+                f"{sweep10['cold_s_per_sweep']:.3f}s -> solve_batch "
+                f"{sweep10['batch_s_per_sweep']:.3f}s "
+                f"(time ratio {sweep10['time_ratio']:.2f}), "
+                f"{sweep10['oracle_rows_checked']} oracle rows checked",
                 flush=True,
             )
     except AssertionError as exc:

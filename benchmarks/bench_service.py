@@ -17,8 +17,8 @@ async/threaded speedup.  Two traffic mixes bracket the design space:
   async core runs one solve per round where the threaded server runs up
   to ``C``.
 * ``sweep`` — every request carries a distinct budget on one workflow.
-  This is the micro-batcher's case: same-group misses drain into one
-  structure-of-arrays ``solve_batch`` pass per window.
+  No request coalesces; every miss is its own solve on a shared decoded
+  problem, which may replay the trace memoized by a larger budget.
 
 Before timing, one budget is solved on both servers and the response
 ``result`` blobs must be byte-identical (``--check`` semantics are
@@ -59,8 +59,6 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 WORKERS = 4
 QUEUE = 64
 CACHE = 4096
-BATCH_WINDOW_S = 0.005
-BATCH_MAX = 32
 
 #: Closed-loop rounds per cell; total requests = rounds * concurrency.
 ROUNDS = 8
@@ -113,13 +111,7 @@ def _boot(kind: str) -> tuple[object, str, SchedulingService]:
     if kind == "threaded":
         server = _ThreadedServer(service)
         return server, server.base_url, service
-    server = BackgroundAsyncServer(
-        service,
-        max_workers=WORKERS,
-        queue_size=QUEUE,
-        batch_window=BATCH_WINDOW_S,
-        batch_max=BATCH_MAX,
-    )
+    server = BackgroundAsyncServer(service, max_workers=WORKERS, queue_size=QUEUE)
     return server, server.base_url, service
 
 
@@ -191,10 +183,7 @@ def run_cell(kind: str, mix: str, payload: dict, budgets: list[float], c: int) -
         }
         if kind == "async":
             core = server.core  # type: ignore[attr-defined]
-            aio = core.stats()["aio"]
-            cell["coalesced"] = aio["coalesced"]
-            cell["batch_windows"] = aio["batch_windows"]
-            cell["batched_items"] = aio["batched_items"]
+            cell["coalesced"] = core.stats()["aio"]["coalesced"]
         else:
             cell["cache_hits"] = stats["cache"]["hits"]
         return cell
@@ -270,8 +259,6 @@ def main(argv=None) -> int:
             "max_workers": WORKERS,
             "queue_size": QUEUE,
             "cache_size": CACHE,
-            "batch_window_ms": BATCH_WINDOW_S * 1000.0,
-            "batch_max": BATCH_MAX,
         },
         "scales": {},
     }

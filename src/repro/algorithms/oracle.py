@@ -3,17 +3,15 @@
 :func:`reference_solve` is Algorithm 1 written the plain way: name-keyed
 schedules, a scalar candidate scan, and a full critical-path analysis
 through :func:`repro.core.critical_path.analyze_critical_path` after
-every step.  It is the ground truth that the production loops —
+every step.  It is the ground truth that the production loop —
 :meth:`CriticalGreedyScheduler.solve` over an
-:class:`~repro.core.fastpath.IncrementalSweep` and
-:meth:`CriticalGreedyScheduler.solve_batch` over a
-:class:`~repro.core.fastpath.BatchedSweep` — must match byte for byte:
-same schedule, step trace, MED and cost.
+:class:`~repro.core.fastpath.IncrementalSweep`, cold or warm-started
+from the trace memo — must match byte for byte: same schedule, step
+trace, MED and cost.
 
 The module is deliberately not registered with the scheduler registry
-and nothing in production imports it; the equivalence tests and the
-benchmarks (``benchmarks/bench_fastpath.py``, ``bench_batched.py``)
-call it directly.
+and nothing in production imports it; the equivalence tests and
+``benchmarks/bench_fastpath.py`` call it directly.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ MEDs/improvements.  This module implements that loop once, with
 deterministic seeding, so every experiment module is a thin configuration
 layer on top.
 
-Both entry points run in-process.  Budget sweeps over one workflow batch
-the budget axis: a scheduler exposing ``solve_batch`` (Critical-Greedy)
-solves every level in one structure-of-arrays run whose rows are
-byte-identical to per-level ``solve`` calls.
+Both entry points run in-process.  Budget sweeps over one workflow hand
+the whole budget axis to a scheduler exposing ``solve_batch``
+(Critical-Greedy), which solves the levels in descending order so each
+replays a prefix of the largest one's trace; every level is
+byte-identical to a per-level ``solve`` call.
 """
 
 from __future__ import annotations
@@ -80,11 +81,11 @@ def sweep_budgets(
 ) -> BudgetSweepResult:
     """Run every scheduler at every budget level of one instance.
 
-    A scheduler exposing ``solve_batch`` (Critical-Greedy over
-    :class:`~repro.core.fastpath.BatchedSweep`) solves every budget level
-    in one structure-of-arrays run; its per-level results are
-    byte-identical to serial ``solve`` calls, so the sweep points — and
-    therefore every experiment built on them — are unchanged.
+    A scheduler exposing ``solve_batch`` gets every budget level in one
+    call; Critical-Greedy's solves them largest first, so each lower
+    level replays a prefix of the memoized trace.  Its per-level results
+    are byte-identical to serial ``solve`` calls, so the sweep points —
+    and therefore every experiment built on them — are unchanged.
     Schedulers without a batch path keep the per-level loop.
 
     Parameters

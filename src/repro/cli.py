@@ -227,23 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="async_core",
         action="store_true",
         help="run the asyncio core: event loop + bounded solver pool with "
-        "single-flight request coalescing and micro-batched solving "
-        "(docs/service.md 'Async core')",
-    )
-    p_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="async core: how long a cache miss waits for same-workflow "
-        "company before solving, in milliseconds (0 disables batching)",
-    )
-    p_serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=32,
-        metavar="N",
-        help="async core: close a micro-batch window early at N items",
+        "single-flight request coalescing (docs/service.md 'Async core')",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="log one line per HTTP request"
@@ -455,11 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.async_core:
                 from repro.service.aio.http import serve_async
 
-                return serve_async(
-                    batch_window_ms=args.batch_window_ms,
-                    batch_max=args.batch_max,
-                    **serve_kwargs,
-                )
+                return serve_async(**serve_kwargs)
             from repro.service.http import serve
 
             return serve(**serve_kwargs)

@@ -46,21 +46,7 @@ result:
   values are bitwise equal to the stored ones, the buffers are at all
   times bit-identical to a from-scratch sweep — the property suite in
   ``tests/core/test_incremental.py`` asserts it after random update
-  sequences;
-* :class:`BatchedSweep` — the *structure-of-arrays* batch engine: ``B``
-  independent critical-path states over one shared :class:`GraphIndex`,
-  with EST/LST stacked into 2-D ``(B, num_nodes)`` numpy arrays (one
-  row per slot) plus per-slot flat-list shadows for the span-scan hot
-  path, a per-row convergence mask (:attr:`BatchedSweep.active`), a
-  vectorized multi-slot full sweep (:meth:`BatchedSweep.sweep_batch` —
-  one numpy pass over the nodes computes every row; ``max``/``min``
-  are exact, order-independent float ops, so each row is bit-identical
-  to :func:`sweep_arrays` on its duration vector), per-slot incremental
-  updates sharing the exact span-scan bodies of
-  :class:`IncrementalSweep`, and batched critical-row masks
-  (:func:`critical_row_mask_batch` — all rows in one 2-D comparison).
-  This is the kernel behind ``CriticalGreedyScheduler.solve_batch``:
-  one graph, B budgets, one numpy kernel per Critical-Greedy step.
+  sequences.
 
 The reference implementation in :mod:`repro.core.critical_path` is
 retained untouched as the ground truth: the property tests compare the
@@ -87,12 +73,10 @@ __all__ = [
     "GraphIndex",
     "FastPathResult",
     "IncrementalSweep",
-    "BatchedSweep",
     "graph_index",
     "transfer_vector",
     "sweep_arrays",
     "critical_row_mask",
-    "critical_row_mask_batch",
     "fast_critical_path",
     "evaluate_assignment_vectors",
 ]
@@ -101,6 +85,10 @@ __all__ = [
 #: Critical-slack tolerance, re-exported from the reference implementation
 #: so kernel callers share the exact same threshold.
 SLACK_TOL = _SLACK_TOL
+
+#: Share of the graph at which an :class:`IncrementalSweep` update stops
+#: span-scanning and resweeps the whole graph.
+_FULL_SWEEP_FRACTION = 0.9
 
 @dataclass(frozen=True)
 class GraphIndex:
@@ -396,8 +384,8 @@ def critical_row_mask(
 
     ``mask[i]`` is true iff the module of row ``i`` has slack
     ``lst - est <= tol``.  This is the one candidate routine shared by
-    Critical-Greedy's production loops (through
-    :meth:`IncrementalSweep.critical_rows` and :class:`BatchedSweep`) and
+    Critical-Greedy's production loop (through
+    :meth:`IncrementalSweep.critical_rows`) and
     :meth:`FastPathResult.critical_schedulable_rows`; the comparison is
     performed on the exact same float values as the reference scan, so
     the selected rows are identical.
@@ -406,26 +394,6 @@ def critical_row_mask(
     est_arr = np.asarray(est, dtype=float)
     lst_arr = np.asarray(lst, dtype=float)
     mask: np.ndarray = (lst_arr[sched] - est_arr[sched]) <= tol
-    return mask
-
-
-def critical_row_mask_batch(
-    index: GraphIndex,
-    est2d: np.ndarray,
-    lst2d: np.ndarray,
-    *,
-    tol: float = SLACK_TOL,
-) -> np.ndarray:
-    """Row-stacked :func:`critical_row_mask`: ``(R, num_sched)`` in one op.
-
-    ``est2d``/``lst2d`` are ``(R, num_nodes)`` slot stacks (e.g. rows of
-    :attr:`BatchedSweep.est_batch`); row ``r`` of the result equals
-    :func:`critical_row_mask` on that slot's vectors exactly — same
-    gather, same subtraction, same tolerance, just broadcast across the
-    batch axis.
-    """
-    sched = index.sched_nodes_array
-    mask: np.ndarray = (lst2d[:, sched] - est2d[:, sched]) <= tol
     return mask
 
 
@@ -663,12 +631,11 @@ class IncrementalSweep:
     by induction the buffers always equal a from-scratch sweep, bit for
     bit (asserted by ``tests/core/test_incremental.py``).
 
-    When the forward span would cover at least ``full_sweep_fraction``
-    of the graph, the update falls back to one full
-    :func:`sweep_arrays` call instead — near the entry the span-scan
-    bookkeeping costs more than the plain sweep it replaces.
-    ``full_sweep_fraction=0.0`` forces the full-sweep path (useful in
-    tests), ``1.0`` disables the fallback for all schedulable nodes.
+    When the forward span would cover at least
+    :attr:`full_sweep_threshold` nodes (90% of the graph), the update
+    falls back to one full :func:`sweep_arrays` call instead — near the
+    entry the span-scan bookkeeping costs more than the plain sweep it
+    replaces.
 
     Instances also maintain numpy mirrors of the EST/LST buffers
     (:attr:`est_array`/:attr:`lst_array`), synced by span-slice
@@ -683,20 +650,13 @@ class IncrementalSweep:
         workflow: Workflow,
         durations: Mapping[str, float] | None = None,
         transfer_times: Mapping[tuple[str, str], float] | None = None,
-        *,
-        full_sweep_fraction: float = 0.9,
     ) -> None:
-        if not 0.0 <= full_sweep_fraction <= 1.0:
-            raise ScheduleError(
-                f"full_sweep_fraction must be in [0, 1], got {full_sweep_fraction!r}"
-            )
         self.workflow = workflow
         self.index = graph_index(workflow)
-        self.full_sweep_fraction = full_sweep_fraction
         n = self.index.num_nodes
         #: Forward spans of at least this many nodes take the full-sweep
         #: fallback instead of the span-scan.
-        self.full_sweep_threshold = max(1, int(full_sweep_fraction * n))
+        self.full_sweep_threshold = max(1, int(_FULL_SWEEP_FRACTION * n))
         self._transfers = transfer_vector(self.index, transfer_times)
         # Stats: how often each path ran, and total span work done.
         self.updates = 0
@@ -888,358 +848,6 @@ class IncrementalSweep:
                 list(self._lft),
                 list(self._argmax_pred),
                 self._makespan,
-            ),
-        )
-
-
-class BatchedSweep:
-    """Structure-of-arrays critical-path state for B solves over one graph.
-
-    Owns ``batch`` independent slots of EST/EFT/LST/LFT state over a
-    single shared :class:`GraphIndex`.  The EST/LST planes are stacked
-    into 2-D ``(batch, num_nodes)`` numpy arrays (:attr:`est_batch` /
-    :attr:`lst_batch`, one row per slot) so batch-wide consumers — the
-    batched critical-row mask, the Critical-Greedy batch solver's
-    convergence bookkeeping — run as single 2-D numpy ops instead of B
-    separate 1-D calls.  Each slot additionally keeps flat python-list
-    shadows of all five planes, because the per-update hot path is the
-    same branch-free CPython span-scan as :class:`IncrementalSweep`
-    (see the module docstring for why per-node numpy loses on the
-    paper's backbone-shaped DAGs); the 2-D mirrors are synced by
-    span-slice assignment exactly like the 1-D mirrors of the
-    incremental engine.
-
-    Slot lifecycle: :meth:`acquire_slot` hands out an inactive slot and
-    marks it live in the :attr:`active` convergence mask;
-    :meth:`release_slot` retires it (finished budget rows drop out of
-    every subsequent batched pass).  :meth:`copy_slot` duplicates one
-    slot's state into another — the batch solver's group-split
-    primitive.  Per-slot updates (:meth:`set_duration` /
-    :meth:`set_row_duration`) share the exact span-scan bodies of
-    :class:`IncrementalSweep` (:func:`_forward_span` et al.), so every
-    slot is at all times bit-identical to a from-scratch
-    :func:`sweep_arrays` on its duration vector; :meth:`sweep_batch`
-    recomputes many slots from scratch in one vectorized numpy pass
-    over the nodes (``max``/``min`` are exact, order-independent float
-    reductions, so the rows match the scalar sweep bit for bit —
-    asserted by ``tests/core/test_batched.py``).
-
-    Not thread-safe: one instance per solving thread.
-    """
-
-    def __init__(
-        self,
-        workflow: Workflow,
-        batch: int,
-        transfer_times: Mapping[tuple[str, str], float] | None = None,
-        *,
-        full_sweep_fraction: float = 0.9,
-    ) -> None:
-        if batch < 1:
-            raise ScheduleError(f"batch must be >= 1, got {batch!r}")
-        if not 0.0 <= full_sweep_fraction <= 1.0:
-            raise ScheduleError(
-                f"full_sweep_fraction must be in [0, 1], got {full_sweep_fraction!r}"
-            )
-        self.workflow = workflow
-        self.index = graph_index(workflow)
-        self.batch = int(batch)
-        n = self.index.num_nodes
-        #: Forward spans of at least this many nodes take the full-sweep
-        #: fallback instead of the span-scan (same policy as the
-        #: incremental engine).
-        self.full_sweep_threshold = max(1, int(full_sweep_fraction * n))
-        self._transfers = transfer_vector(self.index, transfer_times)
-        #: Convergence mask: ``active[b]`` is true while slot ``b`` holds
-        #: a live solve; finished rows drop out of batched passes.
-        self.active = np.zeros(self.batch, dtype=bool)
-        # SoA planes: one row per slot.  EST/LST get full 2-D numpy
-        # mirrors (the planes batch consumers read); EFT/LFT/argmax live
-        # only in the list shadows, like the incremental engine.
-        self._est2d = np.zeros((self.batch, n))
-        self._lst2d = np.zeros((self.batch, n))
-        self._makespans = np.zeros(self.batch)
-        self._durations: list[list[float]] = [[] for _ in range(self.batch)]
-        self._est: list[list[float]] = [[] for _ in range(self.batch)]
-        self._eft: list[list[float]] = [[] for _ in range(self.batch)]
-        self._lst: list[list[float]] = [[] for _ in range(self.batch)]
-        self._lft: list[list[float]] = [[] for _ in range(self.batch)]
-        self._argmax_pred: list[list[int]] = [[] for _ in range(self.batch)]
-        # Stats: how often each path ran, and total span work done.
-        self.updates = 0
-        self.incremental_updates = 0
-        self.full_sweeps = 0
-        self.batched_sweeps = 0
-        self.slot_copies = 0
-        self.nodes_recomputed = 0
-
-    # -- slot lifecycle -------------------------------------------------
-
-    def acquire_slot(self) -> int:
-        """Claim the first inactive slot; returns its id."""
-        for b in range(self.batch):
-            if not self.active[b]:
-                self.active[b] = True
-                return b
-        raise ScheduleError(f"all {self.batch} batch slots are active")
-
-    def release_slot(self, slot: int) -> None:
-        """Retire a slot: it drops out of the convergence mask."""
-        self._check_slot(slot)
-        self.active[slot] = False
-
-    def copy_slot(self, src: int, dst: int) -> None:
-        """Duplicate slot ``src``'s entire state into slot ``dst``."""
-        self._check_slot(src)
-        self._check_slot(dst)
-        self.slot_copies += 1
-        self._durations[dst] = list(self._durations[src])
-        self._est[dst] = list(self._est[src])
-        self._eft[dst] = list(self._eft[src])
-        self._lst[dst] = list(self._lst[src])
-        self._lft[dst] = list(self._lft[src])
-        self._argmax_pred[dst] = list(self._argmax_pred[src])
-        self._est2d[dst] = self._est2d[src]
-        self._lst2d[dst] = self._lst2d[src]
-        self._makespans[dst] = self._makespans[src]
-        self.active[dst] = True
-
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.batch:
-            raise ScheduleError(f"slot {slot} out of range (batch={self.batch})")
-
-    # -- state accessors ------------------------------------------------
-
-    @property
-    def est_batch(self) -> np.ndarray:
-        """The ``(batch, num_nodes)`` EST plane (live view; do not mutate)."""
-        return self._est2d
-
-    @property
-    def lst_batch(self) -> np.ndarray:
-        """The ``(batch, num_nodes)`` LST plane (live view; do not mutate)."""
-        return self._lst2d
-
-    @property
-    def makespans(self) -> np.ndarray:
-        """Per-slot makespans as one ``(batch,)`` vector (live view)."""
-        return self._makespans
-
-    def makespan(self, slot: int) -> float:
-        """Current makespan of one slot."""
-        self._check_slot(slot)
-        return float(self._makespans[slot])
-
-    def duration_of(self, slot: int, node: int) -> float:
-        """Current duration of ``node`` in ``slot``."""
-        self._check_slot(slot)
-        return self._durations[slot][node]
-
-    # -- (re)initialization ---------------------------------------------
-
-    def reset_slot(self, slot: int, durations: Sequence[float]) -> float:
-        """Adopt a duration vector for one slot and resweep it fully."""
-        self._check_slot(slot)
-        index = self.index
-        if len(durations) != index.num_nodes:
-            raise ScheduleError(
-                f"expected {index.num_nodes} durations, got {len(durations)}"
-            )
-        self._durations[slot] = [float(d) for d in durations]
-        self._resweep_slot(slot)
-        return float(self._makespans[slot])
-
-    def _resweep_slot(self, slot: int) -> None:
-        self.full_sweeps += 1
-        swept = sweep_arrays(self.index, self._durations[slot], self._transfers)
-        est, eft, lst, lft, argmax_pred, makespan = swept
-        self._est[slot] = est
-        self._eft[slot] = eft
-        self._lst[slot] = lst
-        self._lft[slot] = lft
-        self._argmax_pred[slot] = argmax_pred
-        self._makespans[slot] = makespan
-        self._est2d[slot] = est
-        self._lst2d[slot] = lst
-        self.nodes_recomputed += self.index.num_nodes
-
-    def sweep_batch(self, slots: Sequence[int], durations: np.ndarray) -> np.ndarray:
-        """Full sweeps of many slots in one vectorized pass; returns makespans.
-
-        ``durations`` is ``(len(slots), num_nodes)`` — one duration
-        vector per requested slot.  The forward/backward passes loop
-        over the *nodes* and vectorize across the *slot axis*: per node,
-        the predecessor ``max`` (plus per-edge transfers) and successor
-        ``min`` reduce over a gathered ``(R, k)`` candidate block.
-        ``max``/``min`` over the same operand set are exact and
-        order-independent for IEEE floats (no NaNs here, and ``-0.0``
-        cannot arise from the nonnegative inputs), and the tied-argmax
-        keeps the first name-sorted predecessor exactly like the scalar
-        accumulation — so row ``r`` is bit-identical to
-        :func:`sweep_arrays` on ``durations[r]``.
-        """
-        index = self.index
-        n = index.num_nodes
-        rows = len(slots)
-        for slot in slots:
-            self._check_slot(slot)
-        dur = np.array(durations, dtype=float)
-        if dur.shape != (rows, n):
-            raise ScheduleError(
-                f"expected durations of shape {(rows, n)}, got {dur.shape}"
-            )
-        if np.any(dur < 0):
-            raise ScheduleError("durations must be nonnegative")
-        self.batched_sweeps += 1
-        self.nodes_recomputed += rows * n
-
-        pred_ptr, pred_idx = index.pred_ptr, index.pred_idx
-        transfers = self._transfers
-        est = np.zeros((rows, n))
-        eft = np.zeros((rows, n))
-        argmax_pred = np.full((rows, n), -1, dtype=np.intp)
-        for v in range(n):
-            lo, hi = pred_ptr[v], pred_ptr[v + 1]
-            if lo != hi:
-                preds = np.asarray(pred_idx[lo:hi], dtype=np.intp)
-                ready = eft[:, preds]
-                if transfers is not None:
-                    ready = ready + np.asarray(transfers[lo:hi])
-                best = ready.max(axis=1)
-                est[:, v] = best
-                argmax_pred[:, v] = preds[
-                    np.argmax(ready == best[:, None], axis=1)
-                ]
-            eft[:, v] = est[:, v] + dur[:, v]
-
-        makespans = eft[:, index.exit].copy()
-
-        succ_ptr, succ_idx, succ_slot = index.succ_ptr, index.succ_idx, index.succ_slot
-        lft = np.zeros((rows, n))
-        lst = np.zeros((rows, n))
-        for v in range(n - 1, -1, -1):
-            lo, hi = succ_ptr[v], succ_ptr[v + 1]
-            if lo == hi:
-                latest = makespans
-            else:
-                succs = np.asarray(succ_idx[lo:hi], dtype=np.intp)
-                cand = lst[:, succs]
-                if transfers is not None:
-                    cand = cand - np.asarray(
-                        [transfers[succ_slot[k]] for k in range(lo, hi)]
-                    )
-                latest = cand.min(axis=1)
-            lft[:, v] = latest
-            lst[:, v] = latest - dur[:, v]
-
-        for r, slot in enumerate(slots):
-            self._durations[slot] = dur[r].tolist()
-            self._est[slot] = est[r].tolist()
-            self._eft[slot] = eft[r].tolist()
-            self._lst[slot] = lst[r].tolist()
-            self._lft[slot] = lft[r].tolist()
-            self._argmax_pred[slot] = argmax_pred[r].tolist()
-            self._est2d[slot] = est[r]
-            self._lst2d[slot] = lst[r]
-            self._makespans[slot] = makespans[r]
-        result: np.ndarray = makespans
-        return result
-
-    # -- the per-slot incremental update --------------------------------
-
-    def set_row_duration(self, slot: int, row: int, value: float) -> float:
-        """Set TE/CE row ``row`` of ``slot``; returns the slot's makespan."""
-        sched = self.index.sched_nodes
-        if not 0 <= row < len(sched):
-            raise ScheduleError(f"schedulable row {row} out of range")
-        return self.set_duration(slot, sched[row], value)
-
-    def set_duration(self, slot: int, node: int, value: float) -> float:
-        """Set the duration of ``node`` in ``slot`` and repropagate.
-
-        Same contract as :meth:`IncrementalSweep.set_duration`: after
-        this call slot ``slot``'s buffers are bitwise equal to what
-        :func:`sweep_arrays` would produce from scratch on its updated
-        duration vector.
-        """
-        self._check_slot(slot)
-        index = self.index
-        n = index.num_nodes
-        if not 0 <= node < n:
-            raise ScheduleError(f"node id {node} out of range")
-        value = float(value)
-        if value < 0:
-            raise ScheduleError(
-                f"module {index.names[node]!r} has negative duration {value!r}"
-            )
-        self.updates += 1
-        durations = self._durations[slot]
-        if value == durations[node]:
-            return float(self._makespans[slot])
-        durations[node] = value
-        if n - node >= self.full_sweep_threshold:
-            self._resweep_slot(slot)
-            return float(self._makespans[slot])
-        self.incremental_updates += 1
-
-        est, eft = self._est[slot], self._eft[slot]
-        transfers = self._transfers
-        hi = _forward_span(
-            index, durations, transfers, est, eft, self._argmax_pred[slot], node
-        )
-
-        # Bitwise comparison, exactly as in the incremental engine.
-        new_makespan = eft[index.exit]
-        makespan_changed = new_makespan != self._makespans[slot]  # lint: ignore[RA901]
-        self._makespans[slot] = new_makespan
-
-        lst, lft = self._lst[slot], self._lft[slot]
-        if makespan_changed:
-            start = n - 1
-            lo = 0
-            _backward_full(index, durations, transfers, new_makespan, lst, lft)
-        else:
-            start = node
-            lo = _backward_span(
-                index, durations, transfers, new_makespan, lst, lft, node
-            )
-
-        # Sync the 2-D mirrors over exactly the recomputed spans.
-        self._est2d[slot, node : hi + 1] = est[node : hi + 1]
-        self._lst2d[slot, lo : start + 1] = lst[lo : start + 1]
-        self.nodes_recomputed += (hi - node + 1) + (start - lo + 1)
-        return new_makespan
-
-    # -- batched consumers ----------------------------------------------
-
-    def critical_rows(self, slot: int) -> np.ndarray:
-        """Boolean TE/CE-row mask of critical modules in one slot."""
-        self._check_slot(slot)
-        return critical_row_mask(self.index, self._est2d[slot], self._lst2d[slot])
-
-    def critical_rows_batch(self, slots: Sequence[int]) -> np.ndarray:
-        """``(len(slots), num_sched)`` critical masks in one 2-D comparison."""
-        for slot in slots:
-            self._check_slot(slot)
-        rows = np.asarray(slots, dtype=np.intp)
-        return critical_row_mask_batch(
-            self.index, self._est2d[rows], self._lst2d[rows]
-        )
-
-    def result(self, slot: int) -> FastPathResult:
-        """Snapshot one slot as an immutable :class:`FastPathResult`."""
-        self._check_slot(slot)
-        return _result_from_lists(
-            self.workflow,
-            self.index,
-            list(self._durations[slot]),
-            (
-                list(self._est[slot]),
-                list(self._eft[slot]),
-                list(self._lst[slot]),
-                list(self._lft[slot]),
-                list(self._argmax_pred[slot]),
-                float(self._makespans[slot]),
             ),
         )
 

@@ -31,10 +31,9 @@ time, which is what lets them reason about *paths*:
   whose order is an *implicit* property: ``sum()`` over dict views or
   sets (insertion/hash order), ``np.sum`` over strided slices (pairwise
   blocking differs from the contiguous path), axis-wise ``sum``/
-  ``mean``/``prod``-family folds over the 2-D batched grids the SoA
-  kernel stacks (the fold order along the batch axis is a layout
-  property; only exact ``max``/``min``/``any``/``all``/``argmax``
-  reductions may cross it), and ``+=`` accumulation inside ``for ... in
+  ``mean``/``prod``-family folds over 2-D grids (the fold order along
+  an axis is a layout property; only exact ``max``/``min``/``any``/
+  ``all``/``argmax`` reductions may cross it), and ``+=`` accumulation inside ``for ... in
   d.items()`` loops.  The results may be deterministic *today*, but
   their order is not part of any contract — the exact refactor hazard
   the fastpath's frontier-equality tests exist to catch.
@@ -806,7 +805,7 @@ def _stepped_slice(expr: ast.expr) -> bool:
 #: Axis-taking numpy folds whose float result depends on accumulation
 #: order.  Exact, order-independent reductions (``max``/``min``/``any``/
 #: ``all``/``argmax``/``argmin``) are deliberately absent: they are the
-#: folds the batched SoA kernel is allowed to run across budget rows.
+#: folds a bit-identity module may run across a grid axis.
 _ORDER_SENSITIVE_REDUCERS = frozenset(
     {
         "sum",
@@ -860,10 +859,9 @@ def _axis_argument(node: ast.Call) -> bool:
     "today, but the order is an implicit property any refactor can "
     "change; np.sum over a strided slice uses different pairwise blocking "
     "than the contiguous path; an axis-wise sum/mean/prod over a 2-D "
-    "batched grid folds each row in an order set by the array's layout "
-    "(the batch dimension the SoA kernel stacks).  Reduction order must "
-    "be explicit there — only exact folds (max/min/any/all/argmax) may "
-    "cross the batch axis.",
+    "grid folds each row in an order set by the array's layout.  "
+    "Reduction order must be explicit there — only exact folds "
+    "(max/min/any/all/argmax) may cross a grid axis.",
 )
 def _rn801_order_sensitive_reduction(index: ProjectIndex) -> Iterator[Finding]:
     for modkey in sorted(index.modules):

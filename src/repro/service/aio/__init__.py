@@ -2,23 +2,19 @@
 
 The threaded front-end (:mod:`repro.service.http`) spends one thread per
 request and one solver run per request.  At duplicate-heavy,
-millions-of-users traffic that wastes the two properties the service
-already has: results are content-addressed (identical concurrent
-requests could share one solve) and the Critical-Greedy scheduler can
-vectorize a whole budget axis in one ``solve_batch`` pass.  This package
-is the event-loop core that exploits both:
+millions-of-users traffic that wastes a property the service already
+has: results are content-addressed, so identical concurrent requests
+can share one solve.  This package is the event-loop core that exploits
+it:
 
 * :mod:`~repro.service.aio.coalesce` — **single-flight dedupe**: N
   concurrent requests for one :class:`~repro.service.keys.RequestKey`
   await a single in-flight solve through a keyed future table;
-* :mod:`~repro.service.aio.batch` — **micro-batching**: cache misses
-  that share a workflow/algorithm/knob set accumulate for a tunable
-  window and drain into one structure-of-arrays ``solve_batch`` run,
-  results fanned back per waiter, byte-identical to serial solves;
 * :mod:`~repro.service.aio.core` — the
-  :class:`~repro.service.aio.core.AsyncServiceCore` gluing both onto a
-  bounded solver thread pool with backpressure, loop-lag monitoring and
-  the shared job accounting from :mod:`repro.service.jobs`;
+  :class:`~repro.service.aio.core.AsyncServiceCore` putting that in
+  front of a bounded solver thread pool with backpressure, loop-lag
+  monitoring and the shared job accounting from
+  :mod:`repro.service.jobs`;
 * :mod:`~repro.service.aio.http` — the asyncio HTTP front-end behind
   ``repro serve --async`` (same routes, same status mapping, batch
   responses streamed item-by-item);
@@ -33,8 +29,7 @@ tuning guidance and the threaded-vs-async selection matrix.
 
 from __future__ import annotations
 
-from repro.service.aio.batch import MicroBatcher
 from repro.service.aio.coalesce import SingleFlight
 from repro.service.aio.core import AsyncServiceCore
 
-__all__ = ["AsyncServiceCore", "MicroBatcher", "SingleFlight"]
+__all__ = ["AsyncServiceCore", "SingleFlight"]

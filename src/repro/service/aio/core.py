@@ -1,17 +1,19 @@
-"""The asyncio service core: coalesce, batch, solve on a bounded pool.
+"""The asyncio service core: coalesce, then solve on a bounded pool.
 
 :class:`AsyncServiceCore` wraps the transport-agnostic
 :class:`~repro.service.app.SchedulingService` with an event-loop request
 path.  One request flows::
 
-    parse_head ──► cache probe ──► single-flight ──► micro-batch ──► pool
-      (hash only)   (both tiers)     (per RequestKey)  (per group key)
+    parse_head ──► cache probe ──► single-flight ──► pool
+      (hash only)   (both tiers)     (per RequestKey)
 
 * ``parse_head`` validates and hashes on the loop **without decoding**
   the problem payload; coalesced duplicates therefore pay one decode
   (the flight leader's) instead of N.
 * Hash and decode go through the service's exact-payload problem memo,
-  so a budget sweep over one workflow hashes and decodes its DAG once.
+  so a budget sweep over one workflow hashes and decodes its DAG once,
+  and each miss's solve can replay a prefix of the Critical-Greedy trace
+  memoized on that shared problem.
 * Solver work runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
   guarded by the same admission accounting as the threaded
   :class:`~repro.service.executor.JobExecutor` (shared
@@ -23,9 +25,8 @@ path.  One request flows::
   loop (see the RT703 lint rule for the static version of that check).
 
 Responses are byte-identical to the threaded core's: cache fragments are
-produced by the same ``solve`` / ``solve_batch`` code, and the batched
-path carries the scheduler's bit-identity contract.  Response dicts may
-be shared between coalesced waiters — treat them as immutable.
+produced by the same ``solve`` code.  Response dicts may be shared
+between coalesced waiters — treat them as immutable.
 """
 
 from __future__ import annotations
@@ -33,20 +34,14 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from collections.abc import AsyncIterator, Mapping, Sequence
+from collections.abc import AsyncIterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.exceptions import ServiceError, ServiceOverloadedError, ServiceTimeoutError
-from repro.service.app import (
-    KeyedRequest,
-    SchedulingService,
-    batch_group_key,
-    error_payload,
-)
+from repro.service.app import KeyedRequest, SchedulingService, error_payload
 from repro.service.jobs import JobRecord, new_job_counts, percentile
 from repro.service.keys import RequestKey
-from repro.service.aio.batch import MicroBatcher
 from repro.service.aio.coalesce import SingleFlight
 
 __all__ = ["AsyncServiceCore"]
@@ -69,10 +64,6 @@ class AsyncServiceCore:
         Per-waiter timeout applied when a request carries none.  A waiter
         timing out never cancels the underlying solve while other waiters
         remain; the solve still completes and populates the cache.
-    batch_window / batch_max:
-        Micro-batching knobs (seconds / items); ``batch_window=0`` or
-        ``batch_max=1`` disables grouping and sends every miss straight
-        to the pool.
     lag_interval:
         Sampling period of the loop-lag monitor, seconds.
     """
@@ -84,8 +75,6 @@ class AsyncServiceCore:
         max_workers: int = 4,
         queue_size: int = 64,
         default_timeout: float | None = None,
-        batch_window: float = 0.002,
-        batch_max: int = 32,
         lag_interval: float = 0.25,
         record_limit: int = 1024,
     ) -> None:
@@ -105,9 +94,6 @@ class AsyncServiceCore:
         self._capacity = int(queue_size) + int(max_workers)
         self._default_timeout = default_timeout
         self.flights = SingleFlight()
-        self.batcher = MicroBatcher(
-            self._run_group, window=batch_window, batch_max=batch_max
-        )
         # Job accounting (mutated on the loop thread only).
         self._counts = new_job_counts()
         self._active = 0
@@ -167,7 +153,7 @@ class AsyncServiceCore:
     # ------------------------------------------------------------------ #
 
     async def solve(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """One ``/v1/solve`` request: parse, coalesce, (maybe) batch, solve."""
+        """One ``/v1/solve`` request: parse, coalesce, solve."""
         started = time.monotonic()
         try:
             keyed = self.service.parse_head(payload)
@@ -200,7 +186,7 @@ class AsyncServiceCore:
         return response
 
     async def _miss(self, keyed: KeyedRequest) -> dict[str, Any]:
-        """Flight-leader body: admit one job, route it to batch or pool."""
+        """Flight-leader body: admit one job and run it on the pool."""
         if self._active >= self._capacity:
             self._counts["rejected"] += 1
             raise ServiceOverloadedError(self._queue_size)
@@ -212,17 +198,11 @@ class AsyncServiceCore:
         self._counts["submitted"] += 1
         self._active += 1
         try:
-            if (
-                self.batcher.enabled
-                and getattr(keyed.scheduler, "solve_batch", None) is not None
-            ):
-                response = await self.batcher.submit(batch_group_key(keyed), keyed)
-            else:
-                record.status = "running"
-                record.started_at = time.time()
-                response = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._solve_single_sync, keyed
-                )
+            record.status = "running"
+            record.started_at = time.time()
+            response = await asyncio.get_running_loop().run_in_executor(
+                self._pool, self._solve_single_sync, keyed
+            )
         except asyncio.CancelledError:
             self._terminal(record, "cancelled")
             raise
@@ -264,29 +244,10 @@ class AsyncServiceCore:
     def _solve_single_sync(self, keyed: KeyedRequest) -> dict[str, Any]:
         return self.service._solve_job(self.service.complete(keyed))
 
-    def _solve_group_sync(
-        self, items: Sequence[KeyedRequest]
-    ) -> list[tuple[str, Any]]:
-        """One window drain: solve the budget axis as a batch."""
-        if len(items) == 1:
-            try:
-                return [("ok", self._solve_single_sync(items[0]))]
-            except Exception as exc:  # lint: ignore[RS602] - outcome fans back to the waiter
-                return [("error", exc)]
-        parsed = [self.service.complete(keyed) for keyed in items]
-        return self.service.solve_group_outcomes(parsed)
-
     def _degraded_sync(
         self, keyed: KeyedRequest, exc: ServiceTimeoutError
     ) -> dict[str, Any]:
         return self.service._degraded_response(self.service.complete(keyed), exc)
-
-    async def _run_group(
-        self, items: Sequence[KeyedRequest]
-    ) -> list[tuple[str, Any]]:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, self._solve_group_sync, list(items)
-        )
 
     # ------------------------------------------------------------------ #
     # Batch endpoint
@@ -298,7 +259,7 @@ class AsyncServiceCore:
         Envelope validation and dispatch are eager — a non-array body
         raises *here*, before the first item is yielded, so the HTTP
         layer can still answer 400 with an unstarted response.  All
-        items run concurrently through the shared coalesce/batch path;
+        items run concurrently through the shared coalesce/pool path;
         item *i* is yielded once it (and its predecessors) are done, so
         the response streams back while later slots still converge.
         Items whose request key already appeared earlier in the batch
@@ -367,8 +328,8 @@ class AsyncServiceCore:
 
         The ``executor`` section keeps the threaded shape (shared
         :mod:`repro.service.jobs` counters) but reports *this* core's
-        pool; the ``aio`` section carries the coalescing, batching and
-        loop-lag figures.
+        pool; the ``aio`` section carries the coalescing and loop-lag
+        figures.
         """
         data = self.service.stats()
         run_times = [
@@ -389,14 +350,6 @@ class AsyncServiceCore:
             "flights_started": self.flights.flights_started,
             "flights_inflight": len(self.flights),
             "waiter_timeouts": self.waiter_timeouts,
-            "batch_windows": self.batcher.batch_windows,
-            "batched_items": self.batcher.batched_items,
-            "batch_fill": {
-                str(size): count
-                for size, count in sorted(self.batcher.batch_fill.items())
-            },
-            "batch_window_ms": self.batcher.window * 1000.0,
-            "batch_max": self.batcher.batch_max,
             "loop_lag_p50": percentile(lag, 50),
             "loop_lag_p95": percentile(lag, 95),
         }

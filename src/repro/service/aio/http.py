@@ -4,17 +4,16 @@ Same surface as the threaded front-end (:mod:`repro.service.http`) —
 identical routes, identical status mapping, identical canonical-JSON
 bodies — but requests ride the event loop through
 :class:`~repro.service.aio.core.AsyncServiceCore` instead of occupying a
-thread each, so duplicate requests coalesce and same-workflow sweeps
-micro-batch.  Differences visible on the wire:
+thread each, so duplicate requests coalesce.  Differences visible on
+the wire:
 
 * ``POST /v1/solve_batch`` answers with ``Transfer-Encoding: chunked``
   and streams each result item as its slot converges.  The concatenated
   chunks are byte-identical to the threaded body
   (``dumps({"results": [...], "status": "ok"})``), so any HTTP/1.1
   client — including the stdlib ones — decodes the same bytes.
-* ``GET /v1/stats`` carries the extra ``aio`` section (coalescing,
-  batch-fill and loop-lag figures) and the async core's ``executor``
-  counters.
+* ``GET /v1/stats`` carries the extra ``aio`` section (coalescing and
+  loop-lag figures) and the async core's ``executor`` counters.
 
 Live-workflow endpoints do blocking log I/O, so they run on the default
 executor — never on the loop (the RT703 lint rule enforces the static
@@ -319,8 +318,6 @@ def serve_async(
     cache_dir: str | None = None,
     default_timeout: float | None = None,
     degrade_on_timeout: bool = False,
-    batch_window_ms: float = 2.0,
-    batch_max: int = 32,
     live_dir: str | None = None,
     live_fsync: bool = True,
     live_peers: Sequence[str] = (),
@@ -334,8 +331,7 @@ def serve_async(
     the listening line is printed once the port is bound, SIGTERM/Ctrl-C
     trigger the graceful drain (readiness drops, in-flight jobs finish,
     the disk cache flushes) and ``drained cleanly`` is printed on the way
-    out.  ``batch_window_ms`` / ``batch_max`` tune the micro-batcher;
-    ``batch_window_ms=0`` (or ``batch_max=1``) disables grouping.
+    out.
     """
     service = SchedulingService(
         max_workers=max_workers,
@@ -358,8 +354,6 @@ def serve_async(
             max_workers=max_workers,
             queue_size=queue_size,
             default_timeout=default_timeout,
-            batch_window=batch_window_ms / 1000.0,
-            batch_max=batch_max,
         )
         await core.start()
         handler = AsyncServiceServer(core, verbose=verbose)
@@ -373,7 +367,7 @@ def serve_async(
             + (f", live_peers={len(live_peers)}" if live_peers else "")
             + ("" if live_fsync else ", live_fsync=off (UNSAFE)")
             + (", degrade_on_timeout" if degrade_on_timeout else "")
-            + f", async, batch_window_ms={batch_window_ms:g}, batch_max={batch_max}"
+            + ", async"
             + ")",
             flush=True,
         )

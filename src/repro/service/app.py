@@ -46,7 +46,7 @@ from collections.abc import Mapping, Sequence
 from concurrent.futures import Future
 from typing import Any
 
-from repro.algorithms import declared_params, get_scheduler
+from repro.algorithms import SchedulerResult, declared_params, get_scheduler
 from repro.core.problem import MedCCProblem
 from repro.exceptions import (
     EventConflictError,
@@ -71,7 +71,6 @@ __all__ = [
     "KeyedRequest",
     "ParsedRequest",
     "SchedulingService",
-    "batch_group_key",
     "error_payload",
 ]
 
@@ -117,22 +116,6 @@ class KeyedRequest:
     timeout: float | None
     key: RequestKey
     entry: "_ProblemEntry"
-
-
-def batch_group_key(parsed: "ParsedRequest | KeyedRequest") -> tuple[str, str, str, float | None]:
-    """The micro-batch grouping key: members may differ only in budget.
-
-    Requests sharing a workflow, algorithm, knob set and timeout can run
-    as one ``solve_batch`` pass; the knob hash is computed at budget 0.0
-    so it is budget-independent.  Used by both the threaded
-    ``/v1/solve_batch`` grouping and the asyncio micro-batcher.
-    """
-    return (
-        parsed.key.problem_hash,
-        parsed.algorithm,
-        params_hash(parsed.algorithm, 0.0, declared_params(parsed.scheduler)),
-        parsed.timeout,
-    )
 
 
 def _problem_fingerprint(problem_payload: Any) -> bytes | None:
@@ -224,11 +207,11 @@ class _ProblemMemo:
 
 @dataclasses.dataclass
 class _BatchSolveJob:
-    """One executor job covering several same-workflow cache misses.
+    """One executor job covering several same-payload cache misses.
 
-    All items share a problem, algorithm, knob set and timeout — only the
-    budgets differ — so the scheduler's ``solve_batch`` can run them as a
-    single structure-of-arrays pass on one worker slot.
+    All items share one decoded problem, algorithm, knob set and timeout
+    — only the budgets differ — so the scheduler's ``solve_batch`` runs
+    them on one worker slot, largest budget first.
     """
 
     items: list[ParsedRequest]
@@ -488,9 +471,38 @@ class SchedulingService:
     def _solve_job(self, job: "ParsedRequest | _BatchSolveJob") -> dict[str, Any]:
         """Executor job body: run the scheduler, encode, memoize."""
         if isinstance(job, _BatchSolveJob):
-            return self._solve_group_job(job)
-        parsed = job
-        result = parsed.scheduler.solve(parsed.problem, parsed.budget)
+            return self._solve_group(job.items)
+        return self._store(job, job.scheduler.solve(job.problem, job.budget))
+
+    def _solve_group(self, items: Sequence[ParsedRequest]) -> dict[str, Any]:
+        """One worker slot, many budgets: the grouped batch-solve job.
+
+        Items share one decoded problem, so one ``solve_batch`` call
+        answers them all, byte-identical to per-item :meth:`_solve_job`
+        runs.  If it rejects the group as a whole (one member's budget
+        is infeasible), each item is solved alone so a bad item cannot
+        fail its groupmates.
+        """
+        first = items[0]
+        try:
+            results = first.scheduler.solve_batch(
+                first.problem, [parsed.budget for parsed in items]
+            )
+        except ReproError:
+            batch = []
+            for parsed in items:
+                try:
+                    batch.append(self._solve_job(parsed))
+                except Exception as exc:
+                    batch.append(error_payload(exc))
+            return {"status": "ok", "batch": batch}
+        return {
+            "status": "ok",
+            "batch": [self._store(parsed, r) for parsed, r in zip(items, results)],
+        }
+
+    def _store(self, parsed: ParsedRequest, result: SchedulerResult) -> dict[str, Any]:
+        """Encode a fresh result, cache its fragment, build the response."""
         fragment = codec.encode_result_fragment(
             result,
             parsed.problem.catalog,
@@ -498,68 +510,6 @@ class SchedulingService:
         )
         self.cache.put(parsed.key, fragment)
         return self._response(parsed, fragment, cache_hit=False)
-
-    def _solve_group_job(self, group: _BatchSolveJob) -> dict[str, Any]:
-        """One worker slot, B budgets: the vectorized batch-solve job."""
-        batch = [
-            value if status == "ok" else error_payload(value)
-            for status, value in self.solve_group_outcomes(group.items)
-        ]
-        return {"status": "ok", "batch": batch}
-
-    def solve_group_outcomes(
-        self, items: Sequence[ParsedRequest]
-    ) -> list[tuple[str, Any]]:
-        """Solve a same-group batch, keeping per-item outcomes.
-
-        Returns one ``("ok", response)`` or ``("error", exception)`` pair
-        per item, in order.  Results (and therefore the cached fragments)
-        are byte-identical to per-item :meth:`_solve_job` runs —
-        ``solve_batch`` carries the bit-identity contract.  If the
-        batched solve rejects the group as a whole (e.g. one member's
-        budget is infeasible), fall back to per-item solves so a bad item
-        cannot fail its groupmates.  Shared by the threaded
-        ``/v1/solve_batch`` grouping and the asyncio micro-batcher, which
-        maps ``"error"`` outcomes back onto individual waiters.
-
-        Members share a ``problem_hash`` but may carry different payloads
-        (say, a permuted catalog).  A schedule indexes its own problem's
-        catalog, so each distinct decoded problem is solved in its own pass.
-        """
-        runs: dict[int, list[int]] = {}
-        for i, parsed in enumerate(items):
-            runs.setdefault(id(parsed.problem), []).append(i)
-        outcomes: dict[int, tuple[str, Any]] = {}
-        for members in runs.values():
-            solved = self._solve_same_problem([items[i] for i in members])
-            outcomes.update(zip(members, solved))
-        return [outcomes[i] for i in range(len(items))]
-
-    def _solve_same_problem(
-        self, items: Sequence[ParsedRequest]
-    ) -> list[tuple[str, Any]]:
-        """:meth:`solve_group_outcomes` for items sharing one decoded problem."""
-        first = items[0]
-        budgets = [parsed.budget for parsed in items]
-        try:
-            results = first.scheduler.solve_batch(first.problem, budgets)
-        except ReproError:
-            outcomes: list[tuple[str, Any]] = []
-            for parsed in items:
-                try:
-                    outcomes.append(("ok", self._solve_job(parsed)))
-                except Exception as exc:  # lint: ignore[RS602] - outcome fans back per item
-                    outcomes.append(("error", exc))
-            return outcomes
-        engine = str(getattr(first.scheduler, "engine", "default"))
-        outcomes = []
-        for parsed, result in zip(items, results):
-            fragment = codec.encode_result_fragment(
-                result, parsed.problem.catalog, engine=engine
-            )
-            self.cache.put(parsed.key, fragment)
-            outcomes.append(("ok", self._response(parsed, fragment, cache_hit=False)))
-        return outcomes
 
     def lookup(self, keyed: "KeyedRequest | ParsedRequest") -> dict[str, Any] | None:
         """The cache-hit response for a request, or ``None`` on a miss.
@@ -677,13 +627,13 @@ class SchedulingService:
           algorithm, knobs *and* budget) are solved once; duplicates
           receive a copy of the first occurrence's response marked
           ``deduped: true``.
-        * **Grouping** — distinct cache misses that share a workflow,
+        * **Grouping** — distinct cache misses that share an exact
+          problem payload (one memo entry, so one decoded problem),
           algorithm, knob set and timeout (only budgets differ) are
           dispatched as one :class:`_BatchSolveJob` when the scheduler
-          exposes ``solve_batch``, so one worker slot vectorizes the
-          whole budget axis (:class:`~repro.core.fastpath.BatchedSweep`).
-          Responses and cached fragments are byte-identical to per-item
-          dispatch.
+          exposes ``solve_batch``, so one worker slot walks the budget
+          axis largest first over the problem's trace memo.  Responses
+          and cached fragments are byte-identical to per-item dispatch.
         """
         if not isinstance(payloads, (list, tuple)):
             raise ServiceError("'requests' must be an array of solve requests")
@@ -714,13 +664,14 @@ class SchedulingService:
 
         # Decode through the memo; a decode error fails only the items
         # carrying that payload, and is not retried within the batch.
-        # Misses whose scheduler can batch are grouped by (workflow,
-        # algorithm, knobs, timeout); the rest go through the normal
+        # Misses whose scheduler can batch are grouped by (payload,
+        # algorithm, knobs, timeout), the knob hash taken at budget 0.0
+        # so it is budget-free; the rest go through the normal
         # one-job-per-item path.
         decode_errors: dict[_ProblemEntry, Exception] = {}
         parsed_items: dict[int, ParsedRequest] = {}
         singles: list[int] = []
-        groups: dict[tuple[str, str, str, float | None], list[int]] = {}
+        groups: dict[tuple[_ProblemEntry, str, str, float | None], list[int]] = {}
         for idx, keyed in misses:
             error = decode_errors.get(keyed.entry)
             if error is None:
@@ -732,7 +683,9 @@ class SchedulingService:
                 responses[idx] = error_payload(error)
                 continue
             if getattr(parsed.scheduler, "solve_batch", None) is not None:
-                groups.setdefault(batch_group_key(parsed), []).append(idx)
+                knobs = params_hash(parsed.algorithm, 0.0, declared_params(parsed.scheduler))
+                group_key = (keyed.entry, parsed.algorithm, knobs, parsed.timeout)
+                groups.setdefault(group_key, []).append(idx)
             else:
                 singles.append(idx)
 

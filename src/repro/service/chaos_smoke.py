@@ -33,9 +33,9 @@ fenced off and reset-pushed by the failover writer), and the final
 with zero client-visible errors throughout.
 
 A third **async-core phase** boots a separate fleet of ``repro serve
---async`` nodes (single-flight coalescing + micro-batched solving)
-behind fresh chaos proxies and fires duplicate-heavy concurrent bursts
-while one node is SIGKILLed mid-phase and restarted.  Pass criteria:
+--async`` nodes (single-flight coalescing) behind fresh chaos proxies
+and fires duplicate-heavy concurrent bursts while one node is SIGKILLed
+mid-phase and restarted.  Pass criteria:
 zero client-visible errors, byte parity of every non-degraded schedule
 with a fault-free in-process solve, and fleet-wide ``aio.coalesced``
 counters > 0 — duplicate suppression must survive the kill/restart.
@@ -144,10 +144,10 @@ def _async_core_phase(args: argparse.Namespace) -> tuple[list[str], dict[str, An
     """Phase 3: duplicate-heavy bursts against two **async** nodes.
 
     Boots a second fleet with ``repro serve --async`` (single-flight
-    coalescing + micro-batched solving) behind fresh chaos proxies and a
-    fresh router, then fires rounds of *concurrent identical* requests —
-    the coalescer's worst-case traffic — while node B is SIGKILLed
-    mid-phase and restarted a few rounds later.  Pass criteria mirror
+    coalescing) behind fresh chaos proxies and a fresh router, then
+    fires rounds of *concurrent identical* requests — the coalescer's
+    worst-case traffic — while node B is SIGKILLed mid-phase and
+    restarted a few rounds later.  Pass criteria mirror
     the threaded phase (zero client-visible errors, every non-degraded
     schedule byte-identical to a fault-free in-process solve) plus one
     async-specific bar: the fleet's ``aio.coalesced`` counters must come
@@ -185,7 +185,7 @@ def _async_core_phase(args: argparse.Namespace) -> tuple[list[str], dict[str, An
     node_a = node_b = None
     proxies: list[ChaosProxy] = []
     server = None
-    extra = ("--async", "--batch-window-ms", "5", "--batch-max", "16")
+    extra = ("--async",)
     try:
         node_a, port_a = _start_node(extra=extra)
         node_b, port_b = _start_node(extra=extra)
@@ -267,14 +267,11 @@ def _async_core_phase(args: argparse.Namespace) -> tuple[list[str], dict[str, An
 
         # Coalescing proof: counters from the *live* nodes (node B was
         # restarted, so its counters only cover the post-restart bursts).
-        coalesced = batch_windows = 0
+        coalesced = 0
         for port in (port_a, port_b):
             body = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0).stats()
-            aio = body.get("stats", {}).get("aio", {})
-            coalesced += aio.get("coalesced", 0)
-            batch_windows += aio.get("batch_windows", 0)
+            coalesced += body.get("stats", {}).get("aio", {}).get("coalesced", 0)
         stats["coalesced"] = coalesced
-        stats["batch_windows"] = batch_windows
         if coalesced == 0:
             errors.append(
                 "async nodes never coalesced a duplicate - single-flight "
@@ -627,8 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"matches reference, corrupted log healed "
             f"({live_stats.get('quarantined', 0)} quarantined); "
             f"async phase: {async_stats.get('requests', 0)} requests, "
-            f"{async_stats.get('coalesced', 0)} coalesced, "
-            f"{async_stats.get('batch_windows', 0)} batch windows; "
+            f"{async_stats.get('coalesced', 0)} coalesced; "
             f"stats written to {args.out}"
         )
         return 0

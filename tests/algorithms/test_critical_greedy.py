@@ -185,7 +185,7 @@ def _production(loop, scheduler, problem, budget):
 
     ``"incremental"`` is the serial ``solve``; ``"batched"`` is a
     ``solve_batch`` row, with the budget range's ends in the same batch
-    so the rows advance through the shared ``BatchedSweep`` loop.
+    so the row replays a prefix of the trace memoized at Cmax.
     """
     if loop == "incremental":
         return scheduler.solve(problem, budget)
@@ -193,7 +193,7 @@ def _production(loop, scheduler, problem, budget):
 
 
 class TestEngineEquivalence:
-    """Both production loops must be indistinguishable from the oracle."""
+    """Both production entry points must be indistinguishable from the oracle."""
 
     def test_default_engine_is_incremental(self):
         from repro.algorithms import declared_params

@@ -5,7 +5,7 @@ of single-duration updates, every buffer (EST/EFT/LST/LFT/argmax/makespan
 and the numpy mirrors) equals what :func:`repro.core.fastpath.sweep_arrays`
 produces from scratch on the current duration vector — bitwise, no
 tolerances.  These tests drive random update sequences on random DAGs
-(with and without transfer times, across the full-sweep-fraction
+(with and without transfer times, across the full-sweep-threshold
 extremes) and compare every buffer after every update.
 """
 
@@ -28,6 +28,15 @@ from tests.conftest import medcc_problems
 def _durations_for(problem):
     schedule = problem.least_cost_schedule()
     return schedule.durations(problem.workflow, problem.matrices)
+
+
+def _force_threshold(sweep: IncrementalSweep, fraction: float) -> None:
+    """Set the full-sweep fallback at ``fraction`` of the graph.
+
+    ``0.0`` forces the full-sweep path on every update, ``1.0`` keeps the
+    span-scan for every node but the entry.
+    """
+    sweep.full_sweep_threshold = max(1, int(fraction * sweep.index.num_nodes))
 
 
 def _with_transfers(problem):
@@ -64,11 +73,9 @@ def test_incremental_matches_full_sweep(problem, data, fraction, with_transfers)
         problem = _with_transfers(problem)
     transfer_times = problem.transfer_times or None
     sweep = IncrementalSweep(
-        problem.workflow,
-        _durations_for(problem),
-        transfer_times=transfer_times,
-        full_sweep_fraction=fraction,
+        problem.workflow, _durations_for(problem), transfer_times=transfer_times
     )
+    _force_threshold(sweep, fraction)
     index = sweep.index
     transfers = transfer_vector(index, transfer_times)
     durations = [sweep.duration_of(v) for v in range(index.num_nodes)]
@@ -121,11 +128,8 @@ def test_row_updates_and_critical_rows(problem, data):
 
 
 def test_fraction_zero_always_full_sweeps(example_problem):
-    sweep = IncrementalSweep(
-        example_problem.workflow,
-        _durations_for(example_problem),
-        full_sweep_fraction=0.0,
-    )
+    sweep = IncrementalSweep(example_problem.workflow, _durations_for(example_problem))
+    _force_threshold(sweep, 0.0)
     base_full = sweep.full_sweeps
     sweep.set_row_duration(0, 123.0)
     assert sweep.full_sweeps == base_full + 1
@@ -133,11 +137,8 @@ def test_fraction_zero_always_full_sweeps(example_problem):
 
 
 def test_fraction_one_never_full_sweeps_after_init(example_problem):
-    sweep = IncrementalSweep(
-        example_problem.workflow,
-        _durations_for(example_problem),
-        full_sweep_fraction=1.0,
-    )
+    sweep = IncrementalSweep(example_problem.workflow, _durations_for(example_problem))
+    _force_threshold(sweep, 1.0)
     assert sweep.full_sweeps == 1  # the constructor's initial sweep
     rows = len(sweep.index.sched_nodes)
     for row in range(rows):
@@ -171,12 +172,10 @@ def test_reset_restores_bit_identity(example_problem):
 
 
 class TestValidation:
-    def test_bad_fraction_rejected(self, example_problem):
-        for fraction in (-0.1, 1.5):
-            with pytest.raises(ScheduleError, match="full_sweep_fraction"):
-                IncrementalSweep(
-                    example_problem.workflow, full_sweep_fraction=fraction
-                )
+    def test_full_sweep_fraction_is_not_an_option(self, example_problem):
+        # The fallback threshold is fixed at 90% of the graph.
+        with pytest.raises(TypeError, match="full_sweep_fraction"):
+            IncrementalSweep(example_problem.workflow, full_sweep_fraction=0.5)
 
     def test_negative_duration_rejected(self, example_problem):
         sweep = IncrementalSweep(example_problem.workflow)

@@ -576,8 +576,8 @@ class TestRN801ReductionOrder:
         assert "RN801" in rules_of(report)
 
     def test_exact_batched_reductions_are_clean(self, tmp_path):
-        # The folds BatchedSweep actually runs across budget rows:
-        # max/min/any/argmax are exact, order-independent reductions.
+        # Exact, order-independent folds across a grid axis:
+        # max/min/any/argmax.
         report = deep_lint(
             tmp_path,
             {
@@ -812,31 +812,31 @@ class TestSeededFaultFastpathOrder:
 
 
 class TestSeededFaultBatchedAxisFold:
-    """Acceptance: order-sensitive fold across BatchedSweep's batch axis → RN801.
+    """Acceptance: order-sensitive fold across a grid axis → RN801.
 
-    The drill takes the *real* ``core/fastpath.py`` (whose batched
-    forward sweep reduces predecessor finish times with the exact
-    ``ready.max(axis=1)``) and swaps that exact fold for a mean — the
-    textual equivalent of a refactor averaging across the batched grid.
-    The bit-identity contract must reject the order-sensitive fold while
-    accepting the pristine kernel.
+    The drill takes a *real* bit-identity module (the exhaustive
+    solver, whose per-module time minima reduce the TE grid with the
+    exact ``te.min(axis=1)``) and swaps that exact fold for a mean — the
+    textual equivalent of a refactor averaging across the grid.  The
+    bit-identity contract must reject the order-sensitive fold while
+    accepting the pristine module.
     """
 
-    PRISTINE = "best = ready.max(axis=1)"
-    FAULTY = "best = ready.mean(axis=1)"
+    PRISTINE = "min_time = te.min(axis=1)"
+    FAULTY = "min_time = te.mean(axis=1)"
 
     def test_pristine_copy_has_no_rn801(self, tmp_path):
-        source = (REAL_PACKAGE / "core" / "fastpath.py").read_text()
+        source = (REAL_PACKAGE / "algorithms" / "exhaustive.py").read_text()
         assert self.PRISTINE in source
-        report = deep_lint(tmp_path, {"core/fastpath.py": source})
+        report = deep_lint(tmp_path, {"algorithms/exhaustive.py": source})
         assert "RN801" not in rules_of(report)
 
     def test_order_sensitive_batch_fold_is_caught(self, tmp_path):
-        source = (REAL_PACKAGE / "core" / "fastpath.py").read_text()
+        source = (REAL_PACKAGE / "algorithms" / "exhaustive.py").read_text()
         report = deep_lint(
             tmp_path,
-            {"core/fastpath.py": source.replace(self.PRISTINE, self.FAULTY, 1)},
+            {"algorithms/exhaustive.py": source.replace(self.PRISTINE, self.FAULTY, 1)},
         )
         hits = [d for d in report if d.rule == "RN801"]
-        assert hits, "an axis-wise mean across the batch grid must trip RN801"
+        assert hits, "an axis-wise mean across the grid must trip RN801"
         assert any("axis" in d.message for d in hits)

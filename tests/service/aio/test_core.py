@@ -1,9 +1,9 @@
 """AsyncServiceCore end-to-end: parity with the serial service, coalescing
-counters, batching, backpressure, per-waiter timeouts, batch streaming.
+counters, backpressure, per-waiter timeouts, batch streaming.
 
-The Hypothesis class is the ISSUE acceptance property: any interleaving of
-duplicate and near-duplicate solve requests through the coalescer and the
-micro-batcher produces responses byte-identical to serial ``solve()``.
+The Hypothesis class is the acceptance property: any interleaving of
+duplicate and near-duplicate solve requests through the coalescer and
+the solver pool produces responses byte-identical to serial ``solve()``.
 """
 
 import asyncio
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import (
+    InfeasibleBudgetError,
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
@@ -70,7 +71,7 @@ class TestSolveParity:
         assert "zz_twin" in expected["result"]["schedule"]["assignment"].values()
         assert dumps(response) == dumps(expected)
 
-    def test_permuted_twin_catalogs_in_one_window(self, twin_catalogs):
+    def test_permuted_twin_catalogs_solved_concurrently(self, twin_catalogs):
         requests = [
             {"problem": problem, "budget": budget}
             for problem, budget in zip(twin_catalogs, (57.0, 60.0))
@@ -82,8 +83,8 @@ class TestSolveParity:
             responses = await asyncio.gather(*(core.solve(r) for r in requests))
             return responses, core.stats()["aio"]
 
-        responses, aio = run(with_core(body, batch_window=0.05))
-        assert aio["batch_fill"] == {"2": 1}
+        responses, aio = run(with_core(body))
+        assert aio["flights_started"] == 2
         assert [dumps(r) for r in responses] == serial
 
     def test_replay_is_cache_hit(self, payload):
@@ -111,7 +112,7 @@ class TestSolveParity:
         assert stats["executor"]["done"] == 1
         assert stats["executor"]["active"] == 0
 
-    def test_near_duplicates_share_a_batch_window(self, payload):
+    def test_concurrent_near_duplicates_match_serial(self, payload):
         budgets = [48.0, 57.0, 70.0, 95.0]
 
         async def body(svc, core):
@@ -120,13 +121,13 @@ class TestSolveParity:
             )
             return responses, core.stats()
 
-        responses, stats = run(
-            with_core(body, batch_window=0.05, batch_max=len(budgets))
-        )
+        responses, stats = run(with_core(body))
         assert [r["status"] for r in responses] == ["ok"] * len(budgets)
-        assert stats["aio"]["batch_windows"] == 1
-        assert stats["aio"]["batched_items"] == len(budgets)
-        assert stats["aio"]["batch_fill"] == {str(len(budgets)): 1}
+        # Distinct keys: one flight and one pool job each, no coalescing.
+        assert stats["aio"]["flights_started"] == len(budgets)
+        assert stats["aio"]["coalesced"] == 0
+        assert stats["executor"]["submitted"] == len(budgets)
+        assert stats["executor"]["done"] == len(budgets)
 
         # Byte parity against serial single solves of the same budgets.
         with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
@@ -159,12 +160,30 @@ class TestBackpressureAndTimeouts:
             response = await leader  # solve keeps running for the leader
             return response, core.stats()
 
-        response, stats = run(with_core(body, batch_window=0.0))
+        response, stats = run(with_core(body))
         assert response["status"] == "ok"
         assert stats["aio"]["waiter_timeouts"] == 1
         assert stats["aio"]["coalesced"] == 1  # the follower joined the flight
         assert stats["executor"]["done"] == 1
         assert stats["executor"]["cancelled"] == 0
+
+    def test_failed_miss_fails_alone(self, payload):
+        async def body(svc, core):
+            outcomes = await asyncio.gather(
+                core.solve(dict(payload, budget=57.0)),
+                core.solve(dict(payload, budget=1.0)),  # below Cmin
+                core.solve(dict(payload, budget=70.0)),
+                return_exceptions=True,
+            )
+            return outcomes, core.stats()
+
+        (good, bad, other), stats = run(with_core(body))
+        assert isinstance(bad, InfeasibleBudgetError)
+        assert good["status"] == other["status"] == "ok"
+        assert stats["executor"]["submitted"] == 3
+        assert stats["executor"]["done"] == 2
+        assert stats["executor"]["failed"] == 1
+        assert stats["executor"]["active"] == 0
 
     def test_draining_core_rejects_new_work(self, payload):
         async def body(svc, core):
@@ -229,15 +248,11 @@ class TestStatsShape:
             "flights_started",
             "flights_inflight",
             "waiter_timeouts",
-            "batch_windows",
-            "batched_items",
-            "batch_fill",
-            "batch_window_ms",
-            "batch_max",
             "loop_lag_p50",
             "loop_lag_p95",
         ):
             assert key in aio
+        assert not any(key.startswith("batch") for key in aio)
         assert aio["flights_inflight"] == 0
         assert aio["loop_lag_p95"] is not None
         assert stats["problems"] == {
@@ -265,7 +280,7 @@ class TestStatsShape:
 
 
 class TestInterleavingProperty:
-    """Acceptance property: coalesced + batched ≡ serial, byte for byte."""
+    """Acceptance property: coalesced + pooled ≡ serial, byte for byte."""
 
     @given(
         data=st.data(),
@@ -281,7 +296,6 @@ class TestInterleavingProperty:
                 max_size=6,
             )
         )
-        window = data.draw(st.sampled_from([0.0, 0.005, 0.03]))
         requests = [{"problem": payload, "budget": b} for b in budgets]
 
         # Serial reference on a fresh, independent service.
@@ -300,9 +314,7 @@ class TestInterleavingProperty:
             ]
             return await asyncio.gather(*tasks, return_exceptions=True)
 
-        outcomes = run(
-            with_core(body, batch_window=window, batch_max=4, queue_size=32)
-        )
+        outcomes = run(with_core(body, queue_size=32))
         for expected, outcome in zip(reference, outcomes):
             if expected[0] == "ok":
                 assert isinstance(outcome, dict), outcome

@@ -8,6 +8,7 @@ responses are reassembled transparently by ``urllib``).
 import asyncio
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -25,9 +26,7 @@ from repro.service.http import ServiceClient, make_server
 def async_served():
     """(service, server, threaded client) around a live async node."""
     service = SchedulingService(max_workers=2, queue_size=8, cache_size=32)
-    with BackgroundAsyncServer(
-        service, max_workers=2, queue_size=8, batch_window=0.002, batch_max=8
-    ) as server:
+    with BackgroundAsyncServer(service, max_workers=2, queue_size=8) as server:
         yield service, server, ServiceClient(server.base_url)
     service.close()
 
@@ -138,9 +137,19 @@ class TestBatchEndpoint:
 
 class TestAsyncClient:
     def test_concurrent_duplicates_coalesce_over_http(
-        self, async_served, request_payload
+        self, async_served, request_payload, monkeypatch
     ):
-        _, server, _ = async_served
+        service, server, _ = async_served
+        # The example solves in well under a millisecond; hold the
+        # leader's pool job long enough for the duplicates' connections
+        # to arrive while its flight is still open.
+        solve_job = service._solve_job
+
+        def slowed(job):
+            time.sleep(0.3)
+            return solve_job(job)
+
+        monkeypatch.setattr(service, "_solve_job", slowed)
 
         async def scenario():
             client = AsyncServiceClient(server.base_url)

@@ -263,14 +263,15 @@ class TestProblemMemo:
         assert dumps(response) == dumps(expected)
 
     def test_permuted_twin_catalogs_in_one_batch(self, service, twin_catalogs):
-        # Both items share a problem_hash, so they form one group; each
-        # must still be solved, and encoded, on its own catalog order.
+        # Both items share a problem_hash but not a payload, so each is a
+        # group of one and goes through the single path; each must be
+        # solved, and encoded, on its own catalog order.
         payloads = [
             {"problem": problem, "budget": budget}
             for problem, budget in zip(twin_catalogs, (57.0, 60.0))
         ]
         batch = service.solve_batch(payloads)
-        assert service.stats()["batch"]["grouped_runs"] == 1
+        assert service.stats()["batch"]["grouped_runs"] == 0
         with SchedulingService(max_workers=1, queue_size=4, cache_size=8) as fresh:
             serial = [fresh.solve(p) for p in payloads]
         assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
@@ -336,7 +337,7 @@ class TestBatchDedupeAndGrouping:
         assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
 
     def test_two_workflow_batch_decodes_each_once(
-        self, service, request_payload, wrf_problem, calls
+        self, service, request_payload, wrf_problem, twin_catalogs, calls
     ):
         other = {"problem": problem_to_dict(wrf_problem)}
         payloads = [dict(request_payload, budget=b) for b in (52.0, 57.0, 64.0)]
@@ -345,6 +346,20 @@ class TestBatchDedupeAndGrouping:
         assert [r["status"] for r in responses] == ["ok"] * 6
         assert calls == {"decode": 2, "hash": 2}
         assert service.stats()["batch"]["grouped_runs"] == 2
+
+        # A permuted-catalog twin shares the problem_hash but is another
+        # payload: its own group, solved on its own catalog order.  Its
+        # budgets differ from its sibling's, so no item is a duplicate.
+        first, second = twin_catalogs
+        twins = [{"problem": first, "budget": b} for b in (52.0, 57.0, 64.0)]
+        twins += [{"problem": second, "budget": b} for b in (53.0, 60.0, 63.0)]
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=32) as svc:
+            batch = svc.solve_batch(twins)
+            assert svc.stats()["batch"]["grouped_runs"] == 2
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=32) as fresh:
+            serial = [fresh.solve(p) for p in twins]
+        assert "zz_twin" in serial[4]["result"]["schedule"]["assignment"].values()
+        assert [dumps(b) for b in batch] == [dumps(s) for s in serial]
 
     def test_int_valued_problem_keeps_its_own_hash(self, service, request_payload):
         # ``1`` and ``1.0`` are == in Python but render differently in the

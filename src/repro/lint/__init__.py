@@ -20,8 +20,7 @@ Three layers, one diagnostic vocabulary (see ``docs/static_analysis.md``):
   handler paths, and float-reduction-order / seeding hazards in the
   bit-identity and experiment modules.
 
-The delivery layer makes the deep pass cheap and adoptable: a
-content-hash incremental cache (:mod:`repro.lint.cache`), a committed
+The delivery layer makes the deep pass adoptable: a committed
 suppression baseline with justifications (:mod:`repro.lint.baseline`,
 stale entries are themselves findings), and SARIF 2.1.0 output
 (:mod:`repro.lint.sarif`) for CI annotation.
@@ -39,7 +38,7 @@ or from the command line::
     repro lint --workload example --budget 40
     repro lint --self --format json
     repro lint --self --deep --baseline lint-baseline.json \\
-        --cache .lint-cache.json --strict --format sarif
+        --strict --format sarif
     python -m repro.lint --self
 """
 
@@ -62,12 +61,10 @@ from repro.lint import domain as _domain  # noqa: F401
 from repro.lint import flow as _flow  # noqa: F401
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.callgraph import ProjectIndex, build_index
-from repro.lint.cache import LintCache
 from repro.lint.sarif import render_sarif, sarif_payload
 from repro.lint.runner import (
     check_scheduler_result,
     lint_catalog,
-    lint_paths,
     lint_problem,
     lint_schedule,
     lint_service_response,
@@ -91,7 +88,6 @@ __all__ = [
     "BaselineEntry",
     "ProjectIndex",
     "build_index",
-    "LintCache",
     "render_sarif",
     "sarif_payload",
     "lint_workflow",
@@ -99,7 +95,6 @@ __all__ = [
     "lint_problem",
     "lint_schedule",
     "lint_service_response",
-    "lint_paths",
     "lint_source_tree",
     "self_lint",
     "check_scheduler_result",

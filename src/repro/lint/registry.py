@@ -171,7 +171,8 @@ def flow_rule(
 
     Flow checks receive a :class:`~repro.lint.callgraph.ProjectIndex` and
     yield ``(relpath, lineno, message, suggestion)`` findings; they only
-    run under ``repro lint --self --deep`` (or ``lint_paths(deep=True)``).
+    run under ``repro lint --self --deep`` (or
+    ``lint_source_tree(paths, deep=True)``).
     """
 
     def decorator(check: _CheckT) -> _CheckT:

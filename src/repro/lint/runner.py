@@ -13,12 +13,11 @@ High-level API
     Lint a candidate schedule against its problem (RS4xx); ``deep=True``
     additionally executes the schedule on the DES simulator and checks
     precedence and analytic-vs-simulated makespan consistency.
-:func:`lint_paths` / :func:`self_lint` / :func:`lint_source_tree`
+:func:`lint_source_tree` / :func:`self_lint`
     Run the RA9xx AST rules over source files (``--self`` lints the
     installed ``repro`` package itself).  ``deep=True`` additionally
     builds the project index and runs the RT7xx/RN8xx flow rules; the
-    full pipeline supports a content-hash incremental cache
-    (``--cache``), a committed suppression baseline (``--baseline`` /
+    pipeline supports a committed suppression baseline (``--baseline`` /
     ``--update-baseline``) and SARIF output (``--format sarif``).
 :func:`check_scheduler_result`
     The debug hook used by :mod:`repro.algorithms.base`: raises
@@ -30,7 +29,8 @@ pipeline itself rather than of any one rule:
 
 * ``RL001`` — a ``# lint: ignore[...]`` pragma that no longer suppresses
   anything (deep runs only, where every rule family is active);
-* ``RL002`` — a baseline entry that no longer matches any finding;
+* ``RL002`` — a baseline entry that no longer matches any finding
+  (flow-rule entries only on deep runs, where their rules ran);
 * ``RL003`` — a source file the pipeline cannot analyze (unreadable,
   non-UTF-8, or a syntax error).  Error severity: lint cannot vouch for
   what it cannot parse.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import sys
 from collections.abc import Mapping, Sequence
 from pathlib import Path
@@ -49,15 +48,6 @@ from typing import TYPE_CHECKING, Any
 from repro.exceptions import LintError, ReproError
 from repro.lint.astrules import SourceModule, extract_pragmas
 from repro.lint.baseline import Baseline
-from repro.lint.cache import (
-    CACHE_FORMAT_VERSION,
-    FileFinding,
-    FlowFinding,
-    LintCache,
-    PragmaMap,
-    file_digest,
-    project_digest,
-)
 from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.domain import (
     CatalogFacts,
@@ -88,7 +78,6 @@ __all__ = [
     "lint_problem",
     "lint_schedule",
     "lint_service_response",
-    "lint_paths",
     "lint_source_tree",
     "self_lint",
     "check_scheduler_result",
@@ -115,7 +104,8 @@ meta_rule(
     severity=Severity.WARNING,
     summary="baseline entry no longer matches any finding",
     rationale="Baselines exist to shrink.  An entry matching nothing "
-    "means the debt was paid; deleting it locks in the fix.",
+    "means the debt was paid; deleting it locks in the fix.  Entries for "
+    "flow rules are only judged on deep runs, where those rules ran.",
 )
 meta_rule(
     "RL003",
@@ -274,11 +264,17 @@ def lint_service_response(
     return LintReport.collect(diagnostics, target=name or "service-response")
 
 
+#: ``(rule id, relpath, lineno, message, suggestion)`` — a raw finding.
+Finding = tuple[str, str, int, str, str | None]
+#: lineno → suppressed rule ids (``None`` = all rules).
+PragmaMap = dict[int, frozenset[str] | None]
+
+
 def _discover_files(paths: Sequence[Path | str]) -> list[tuple[Path, str]]:
     """``(path, relpath)`` for every ``*.py`` under the given paths.
 
-    Directories are walked recursively in sorted order so diagnostics,
-    cache layout and the project digest are deterministic across runs.
+    Directories are walked recursively in sorted order so diagnostics
+    are deterministic across runs.
     """
     out: list[tuple[Path, str]] = []
     for raw in paths:
@@ -289,14 +285,6 @@ def _discover_files(paths: Sequence[Path | str]) -> list[tuple[Path, str]]:
         else:
             out.append((base, base.name))
     return out
-
-
-def _rules_signature() -> str:
-    """Cache signature: changes when the rule set or cache format does."""
-    ids = ",".join(rule.id for rule in all_rules())
-    return hashlib.sha256(
-        f"{CACHE_FORMAT_VERSION}|{ids}".encode("utf-8")
-    ).hexdigest()
 
 
 def _effective_severity(rule_id: str, relpath: str) -> Severity:
@@ -323,62 +311,42 @@ def lint_source_tree(
     paths: Sequence[Path | str],
     *,
     deep: bool = False,
-    cache_path: Path | str | None = None,
     baseline_path: Path | str | None = None,
     update_baseline: bool = False,
     name: str = "",
 ) -> LintReport:
     """The full source-tree lint pipeline (RA9xx, and with ``deep`` the
-    RT7xx/RN8xx flow rules), with incremental caching and baselining.
+    RT7xx/RN8xx flow rules), with baselining.
 
     Stages:
 
-    1. discover files, hash contents; per file either reuse the cached
-       raw findings + pragma map (content unchanged) or parse and run the
-       AST rules.  Unreadable / non-UTF-8 / syntactically broken files
-       become ``RL003`` errors instead of crashes.
-    2. with ``deep=True``: reuse the cached flow findings when *no* file
-       changed (project digest), else build the
+    1. discover files; parse each and run the AST rules.  Unreadable /
+       non-UTF-8 / syntactically broken files become ``RL003`` errors
+       instead of crashes.
+    2. with ``deep=True``: build the
        :class:`~repro.lint.callgraph.ProjectIndex` and run every
        registered flow rule.
     3. apply ``# lint: ignore[...]`` pragmas (stale ones become ``RL001``
        on deep runs), escalate RA905 in ``core/``/``service/``, then
        filter through the baseline (stale entries become ``RL002``;
        ``update_baseline=True`` rewrites the file first, carrying
-       justifications forward).
+       justifications forward).  Without ``deep`` the flow rules did not
+       run, so their baseline entries are neither stale nor dropped.
     """
     files = _discover_files(paths)
-    cache = (
-        LintCache.load(Path(cache_path), _rules_signature())
-        if cache_path is not None
-        else None
-    )
     ast_rule_list = ast_rules()
 
-    digests: dict[str, str] = {}
-    raw_findings: dict[str, list[FileFinding]] = {}
+    raw_findings: dict[str, list[Finding]] = {}
     pragmas: dict[str, PragmaMap] = {}
     parsed: dict[str, SourceModule] = {}
     failures: dict[str, tuple[int, str]] = {}
 
     for path, relpath in files:
-        raw_findings[relpath] = []
-        pragmas[relpath] = {}
         try:
-            data = path.read_bytes()
+            text = path.read_bytes().decode("utf-8")
         except OSError as exc:
             failures[relpath] = (1, f"cannot read file: {exc}")
-            digests[relpath] = f"unreadable:{relpath}"
             continue
-        digest = file_digest(data)
-        digests[relpath] = digest
-        if cache is not None:
-            hit = cache.lookup_file(relpath, digest)
-            if hit is not None:
-                raw_findings[relpath], pragmas[relpath] = hit
-                continue
-        try:
-            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             failures[relpath] = (
                 1,
@@ -395,53 +363,26 @@ def lint_source_tree(
             path=path, relpath=relpath, tree=tree, ignores=pragmas[relpath]
         )
         parsed[relpath] = module
-        findings: list[FileFinding] = []
+        findings: list[Finding] = []
         for rule in ast_rule_list:
             for finding in rule.check(module):
                 suggestion = finding[2] if len(finding) > 2 else None
                 findings.append(
-                    (rule.id, int(finding[0]), str(finding[1]), suggestion)
+                    (rule.id, relpath, int(finding[0]), str(finding[1]), suggestion)
                 )
         raw_findings[relpath] = findings
-        if cache is not None:
-            cache.store_file(relpath, digest, findings, pragmas[relpath])
 
-    flow_findings: list[FlowFinding] = []
+    flow_findings: list[Finding] = []
     if deep:
-        tree_digest = project_digest(digests)
-        cached_flow = (
-            cache.lookup_flow(tree_digest) if cache is not None else None
-        )
-        if cached_flow is not None:
-            flow_findings = cached_flow
-        else:
-            # The flow pass needs every module's AST, including the ones
-            # the per-file cache let us skip parsing.
-            for path, relpath in files:
-                if relpath in parsed or relpath in failures:
-                    continue
-                try:
-                    text = path.read_text(encoding="utf-8")
-                    tree = ast.parse(text, filename=str(path))
-                except (OSError, UnicodeDecodeError, SyntaxError):
-                    continue
-                parsed[relpath] = SourceModule(
-                    path=path,
-                    relpath=relpath,
-                    tree=tree,
-                    ignores=pragmas[relpath],
-                )
-            from repro.lint.callgraph import build_index
+        from repro.lint.callgraph import build_index
 
-            index = build_index([parsed[rp] for rp in sorted(parsed)])
-            for rule in flow_rules():
-                for flow_finding in rule.check(index):
-                    relpath, lineno, message, suggestion = flow_finding
-                    flow_findings.append(
-                        (rule.id, str(relpath), int(lineno), str(message), suggestion)
-                    )
-            if cache is not None:
-                cache.store_flow(tree_digest, flow_findings)
+        index = build_index([parsed[rp] for rp in sorted(parsed)])
+        for rule in flow_rules():
+            for flow_finding in rule.check(index):
+                relpath, lineno, message, suggestion = flow_finding
+                flow_findings.append(
+                    (rule.id, str(relpath), int(lineno), str(message), suggestion)
+                )
 
     # ---- assemble diagnostics: pragmas, escalation, meta findings ---- #
     diagnostics: list[Diagnostic] = []
@@ -469,20 +410,10 @@ def lint_source_tree(
                 "cannot vouch for what it cannot read",
             )
         )
-    for relpath in sorted(raw_findings):
-        for rule_id, lineno, message, suggestion in raw_findings[relpath]:
-            if suppressed(relpath, rule_id, lineno):
-                continue
-            diagnostics.append(
-                Diagnostic(
-                    rule=rule_id,
-                    severity=_effective_severity(rule_id, relpath),
-                    path=f"{relpath}:{lineno}",
-                    message=message,
-                    suggestion=suggestion,
-                )
-            )
-    for rule_id, relpath, lineno, message, suggestion in flow_findings:
+    ast_findings = [f for rp in sorted(raw_findings) for f in raw_findings[rp]]
+    for rule_id, relpath, lineno, message, suggestion in (
+        ast_findings + flow_findings
+    ):
         if suppressed(relpath, rule_id, lineno):
             continue
         diagnostics.append(
@@ -526,15 +457,23 @@ def lint_source_tree(
                 f"baseline file {blpath} not found "
                 "(pass --update-baseline to create it)"
             )
+        # Entries for rules that did not run on this pass are carried as is.
+        not_run: set[str] = (
+            set() if deep else {rule.id for rule in flow_rules()}
+        )
         if update_baseline:
             candidates = [
                 d for d in diagnostics if not d.rule.startswith("RL")
             ]
-            baseline = Baseline.from_diagnostics(candidates, previous=baseline)
+            carried = tuple(e for e in baseline.entries if e.rule in not_run)
+            fresh = Baseline.from_diagnostics(candidates, previous=baseline)
+            baseline = Baseline(entries=fresh.entries + carried)
             baseline.save(blpath)
         kept, _suppressed_count, stale = baseline.apply(diagnostics)
         diagnostics = kept
         for entry in stale:
+            if entry.rule in not_run:
+                continue
             diagnostics.append(
                 Diagnostic(
                     rule="RL002",
@@ -548,25 +487,14 @@ def lint_source_tree(
                 )
             )
 
-    if cache is not None:
-        cache.save()
     return LintReport.collect(
         diagnostics, target=name or ", ".join(str(p) for p in paths)
     )
 
 
-def lint_paths(
-    paths: Sequence[Path | str], *, name: str = "", deep: bool = False
-) -> LintReport:
-    """Run the AST (RA9xx) rules — plus flow rules with ``deep`` — over
-    source files and directories (no cache, no baseline)."""
-    return lint_source_tree(paths, deep=deep, name=name)
-
-
 def self_lint(
     *,
     deep: bool = False,
-    cache_path: Path | str | None = None,
     baseline_path: Path | str | None = None,
     update_baseline: bool = False,
 ) -> LintReport:
@@ -577,7 +505,6 @@ def self_lint(
     return lint_source_tree(
         [package_dir],
         deep=deep,
-        cache_path=cache_path,
         baseline_path=baseline_path,
         update_baseline=update_baseline,
         name=f"self ({package_dir})",
@@ -670,15 +597,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "(RS404/RS405)",
     )
     parser.add_argument(
-        "--cache",
-        dest="cache_path",
-        default=None,
-        metavar="FILE",
-        help="content-hash incremental cache for --self/paths runs; "
-        "unchanged files (and, with --deep, an unchanged tree) skip "
-        "re-analysis",
-    )
-    parser.add_argument(
         "--baseline",
         dest="baseline_path",
         default=None,
@@ -738,12 +656,11 @@ def run(args: argparse.Namespace) -> int:
     if args.algorithm and args.budget is None:
         print("error: --algorithm requires --budget", file=sys.stderr)
         return 2
-    if (args.baseline_path or args.cache_path or args.update_baseline) and not (
+    if (args.baseline_path or args.update_baseline) and not (
         args.self_lint or args.paths
     ):
         print(
-            "error: --baseline/--cache/--update-baseline apply to "
-            "--self/paths runs",
+            "error: --baseline/--update-baseline apply to --self/paths runs",
             file=sys.stderr,
         )
         return 2
@@ -798,7 +715,6 @@ def run(args: argparse.Namespace) -> int:
         reports.append(
             self_lint(
                 deep=args.deep,
-                cache_path=args.cache_path,
                 baseline_path=args.baseline_path,
                 update_baseline=args.update_baseline,
             )
@@ -808,7 +724,6 @@ def run(args: argparse.Namespace) -> int:
             lint_source_tree(
                 args.paths,
                 deep=args.deep,
-                cache_path=args.cache_path,
                 baseline_path=args.baseline_path,
                 update_baseline=args.update_baseline,
             )

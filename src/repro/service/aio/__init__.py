@@ -17,11 +17,10 @@ it:
   :mod:`repro.service.jobs`;
 * :mod:`~repro.service.aio.http` — the asyncio HTTP front-end behind
   ``repro serve --async`` (same routes, same status mapping, batch
-  responses streamed item-by-item);
-* :mod:`~repro.service.aio.client` / :mod:`~repro.service.aio.resilience`
-  — an event-loop client plus async retry/hedging that share the
-  :class:`~repro.service.resilience.RetryPolicy` /
-  :class:`~repro.service.resilience.CircuitBreaker` state machines.
+  responses streamed item-by-item).
+
+Clients talk to it through the same blocking
+:class:`~repro.service.http.ServiceClient` as the threaded front-end.
 
 See ``docs/service.md`` ("Async core") for the architecture picture,
 tuning guidance and the threaded-vs-async selection matrix.

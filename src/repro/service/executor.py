@@ -40,7 +40,7 @@ import queue
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
 from typing import Any
 
@@ -219,30 +219,6 @@ class JobExecutor:
             job.timer = timer
             timer.start()
         return future
-
-    def submit_many(
-        self,
-        requests: Iterable[Any],
-        *,
-        timeout: float | None = None,
-        label: str = "",
-    ) -> "list[Future[Any]]":
-        """Submit a batch; futures come back in input order.
-
-        Overload is captured *per item*: once the queue fills, the
-        remaining futures resolve with :class:`ServiceOverloadedError`
-        instead of the whole batch failing, so ``/v1/solve_batch`` can
-        report partial acceptance.
-        """
-        futures: "list[Future[Any]]" = []
-        for request in requests:
-            try:
-                futures.append(self.submit(request, timeout=timeout, label=label))
-            except ServiceOverloadedError as exc:
-                failed: "Future[Any]" = Future()
-                failed.set_exception(exc)
-                futures.append(failed)
-        return futures
 
     # ------------------------------------------------------------------ #
     # Thread worker path

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import textwrap
 
-from repro.lint import lint_paths, self_lint
+from repro.lint import lint_source_tree, self_lint
 
 
 def lint_source(tmp_path, source, filename="mod.py"):
@@ -12,7 +12,7 @@ def lint_source(tmp_path, source, filename="mod.py"):
     target = tmp_path / filename
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source))
-    return lint_paths([tmp_path])
+    return lint_source_tree([tmp_path])
 
 
 class TestRA901FloatEquality:
@@ -316,14 +316,14 @@ class TestRA905MissingAll:
     def test_private_and_main_modules_exempt(self, tmp_path):
         (tmp_path / "_private.py").write_text("x = 1\n")
         (tmp_path / "__main__.py").write_text("x = 1\n")
-        report = lint_paths([tmp_path])
+        report = lint_source_tree([tmp_path])
         assert "RA905" not in report.rule_ids()
 
     def test_init_requires_all(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("x = 1\n")
-        report = lint_paths([tmp_path])
+        report = lint_source_tree([tmp_path])
         assert "RA905" in report.rule_ids()
 
 

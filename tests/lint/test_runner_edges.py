@@ -1,5 +1,5 @@
-"""Runner edge cases: unreadable sources, cache behavior, RL meta rules,
-baseline CLI plumbing, RA905 escalation and ``--strict``."""
+"""Runner edge cases: unreadable sources, RL meta rules, baseline CLI
+plumbing, RA905 escalation and ``--strict``."""
 
 from __future__ import annotations
 
@@ -83,39 +83,6 @@ class TestUnanalyzableFiles:
         )
         report = lint_source_tree([tmp_path], deep=True)
         assert "RL003" in report.rule_ids()
-
-
-# --------------------------------------------------------------------- #
-# Incremental cache
-# --------------------------------------------------------------------- #
-
-
-class TestCache:
-    def test_warm_run_reproduces_diagnostics(self, tmp_path):
-        tree = write_tree(
-            tmp_path / "tree", {"service/mod.py": "def visible():\n    return 1\n"}
-        )
-        cache = tmp_path / "cache.json"
-        cold = lint_source_tree([tree], deep=True, cache_path=cache)
-        assert cache.exists()
-        warm = lint_source_tree([tree], deep=True, cache_path=cache)
-        assert [d.to_dict() for d in cold] == [d.to_dict() for d in warm]
-
-    def test_edited_file_invalidates_its_entry(self, tmp_path):
-        tree = write_tree(tmp_path / "tree", {"mod.py": CLEAN})
-        cache = tmp_path / "cache.json"
-        assert lint_source_tree([tree], cache_path=cache).rule_ids() == set()
-        (tree / "mod.py").write_text("def visible():\n    return 1\n")
-        report = lint_source_tree([tree], cache_path=cache)
-        assert "RA905" in report.rule_ids()
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        tree = write_tree(tmp_path / "tree", {"mod.py": CLEAN})
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        report = lint_source_tree([tree], cache_path=cache)
-        assert report.exit_code() == 0
-        assert json.loads(cache.read_text())["files"]  # rewritten, valid
 
 
 # --------------------------------------------------------------------- #
@@ -208,6 +175,49 @@ class TestBaselinePlumbing:
         hits = [d for d in report if d.rule == "RL002"]
         assert len(hits) == 1
         assert "RA905" in hits[0].message
+
+    def test_flow_entries_survive_runs_without_deep(self, tmp_path):
+        # The flow rules do not run without --deep, so their baseline
+        # entries are neither stale (RL002) nor dropped on update.
+        tree = write_tree(
+            tmp_path / "tree",
+            {
+                "service/http.py": """\
+                import time
+                from http.server import BaseHTTPRequestHandler
+
+                __all__ = ["Handler"]
+
+
+                class Handler(BaseHTTPRequestHandler):
+                    def do_GET(self):
+                        time.sleep(1.0)
+                """
+            },
+        )
+        baseline = tmp_path / "baseline.json"
+        lint_source_tree(
+            [tree], deep=True, baseline_path=baseline, update_baseline=True
+        )
+        payload = json.loads(baseline.read_text())
+        assert [e["rule"] for e in payload["entries"]] == ["RT703"]
+        payload["entries"][0]["justification"] = "accepted: test fixture"
+        baseline.write_text(json.dumps(payload))
+
+        assert lint_main([str(tree), "--strict", "--baseline", str(baseline)]) == 0
+        assert (
+            lint_main(
+                [str(tree), "--baseline", str(baseline), "--update-baseline"]
+            )
+            == 0
+        )
+        assert json.loads(baseline.read_text()) == payload
+        assert (
+            lint_main(
+                [str(tree), "--deep", "--strict", "--baseline", str(baseline)]
+            )
+            == 0
+        )
 
     def test_missing_baseline_is_an_explicit_error(self, tmp_path):
         tree = write_tree(tmp_path / "tree", {"mod.py": CLEAN})

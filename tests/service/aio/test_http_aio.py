@@ -1,21 +1,19 @@
-"""Async HTTP front-end tests: threaded client parity, async client, stats.
+"""Async HTTP front-end tests: threaded client parity, coalescing, stats.
 
 The threaded :class:`ServiceClient` is used unchanged against the async
 server — wire compatibility is part of the contract (chunked batch
 responses are reassembled transparently by ``urllib``).
 """
 
-import asyncio
 import json
 import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.serialize import problem_to_dict
-from repro.exceptions import ServiceError
-from repro.service.aio.client import AsyncServiceClient
 from repro.service.aio.http import BackgroundAsyncServer
 from repro.service.app import SchedulingService
 from repro.service.codec import dumps
@@ -135,11 +133,11 @@ class TestBatchEndpoint:
         assert "array" in response["error"]["message"]
 
 
-class TestAsyncClient:
+class TestCoalescingOverHttp:
     def test_concurrent_duplicates_coalesce_over_http(
         self, async_served, request_payload, monkeypatch
     ):
-        service, server, _ = async_served
+        service, _, client = async_served
         # The example solves in well under a millisecond; hold the
         # leader's pool job long enough for the duplicates' connections
         # to arrive while its flight is still open.
@@ -151,15 +149,13 @@ class TestAsyncClient:
 
         monkeypatch.setattr(service, "_solve_job", slowed)
 
-        async def scenario():
-            client = AsyncServiceClient(server.base_url)
-            responses = await asyncio.gather(
-                *(client.solve(request_payload) for _ in range(6))
+        # ServiceClient opens one connection per request, so six threads
+        # put six concurrent duplicates on the wire.
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            responses = list(
+                pool.map(lambda _: client.solve(request_payload), range(6))
             )
-            stats = await client.stats()
-            return responses, stats["stats"]
-
-        responses, stats = asyncio.run(scenario())
+        stats = client.stats()["stats"]
         blobs = {dumps(r["result"]) for r in responses}
         assert len(blobs) == 1
         assert stats["aio"]["coalesced"] >= 1
@@ -168,6 +164,3 @@ class TestAsyncClient:
             >= len(responses)
         )
 
-    def test_rejects_non_http_url(self):
-        with pytest.raises(ServiceError):
-            AsyncServiceClient("ftp://example.com")

@@ -33,9 +33,9 @@ class TestBasicExecution:
         with JobExecutor(lambda x: x * 2, max_workers=2, queue_size=8) as ex:
             assert ex.submit(21).result(timeout=5) == 42
 
-    def test_submit_many_preserves_order(self):
+    def test_submit_preserves_order(self):
         with JobExecutor(lambda x: x * 2, max_workers=4, queue_size=32) as ex:
-            futures = ex.submit_many(range(10))
+            futures = [ex.submit(i) for i in range(10)]
             assert [f.result(timeout=5) for f in futures] == [
                 i * 2 for i in range(10)
             ]
@@ -139,32 +139,6 @@ class TestBackpressure:
         finally:
             ex.shutdown()
 
-    def test_submit_many_captures_overload_per_item(self):
-        release = threading.Event()
-        started = threading.Event()
-
-        def blocker(_):
-            started.set()
-            release.wait(10)
-            return "ok"
-
-        ex = JobExecutor(blocker, max_workers=1, queue_size=1)
-        try:
-            ex.submit("warm")
-            assert started.wait(5)
-            futures = ex.submit_many(["a", "b", "c"])
-            release.set()
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=5))
-                except ServiceOverloadedError:
-                    outcomes.append("overloaded")
-            assert outcomes == ["ok", "overloaded", "overloaded"]
-        finally:
-            release.set()
-            ex.shutdown()
-
 
 class TestTimeouts:
     def test_slow_job_times_out(self):
@@ -230,7 +204,7 @@ class TestRecordsAndStats:
 
     def test_stats_latency_percentiles(self):
         with JobExecutor(lambda x: x, max_workers=2, queue_size=16) as ex:
-            for future in ex.submit_many(range(8)):
+            for future in [ex.submit(i) for i in range(8)]:
                 future.result(timeout=5)
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline:

@@ -111,7 +111,7 @@ def _boot(kind: str) -> tuple[object, str, SchedulingService]:
     if kind == "threaded":
         server = _ThreadedServer(service)
         return server, server.base_url, service
-    server = BackgroundAsyncServer(service, max_workers=WORKERS, queue_size=QUEUE)
+    server = BackgroundAsyncServer(service)
     return server, server.base_url, service
 
 

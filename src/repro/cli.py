@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="async_core",
         action="store_true",
-        help="run the asyncio core: event loop + bounded solver pool with "
-        "single-flight request coalescing (docs/service.md 'Async core')",
+        help="run the asyncio core: an event loop with single-flight request "
+        "coalescing in front of the same bounded solver pool "
+        "(docs/service.md 'Async core')",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="log one line per HTTP request"

@@ -1,4 +1,4 @@
-"""Asyncio service core: event loop + bounded solver worker pool.
+"""Asyncio service core: an event loop in front of the service's executor.
 
 The threaded front-end (:mod:`repro.service.http`) spends one thread per
 request and one solver run per request.  At duplicate-heavy,
@@ -12,9 +12,10 @@ it:
   await a single in-flight solve through a keyed future table;
 * :mod:`~repro.service.aio.core` — the
   :class:`~repro.service.aio.core.AsyncServiceCore` putting that in
-  front of a bounded solver thread pool with backpressure, loop-lag
-  monitoring and the shared job accounting from
-  :mod:`repro.service.jobs`;
+  front of the service's own
+  :class:`~repro.service.executor.JobExecutor` (each flight is one job
+  there, with the same backpressure and job records as the threaded
+  front end), plus loop-lag monitoring;
 * :mod:`~repro.service.aio.http` — the asyncio HTTP front-end behind
   ``repro serve --async`` (same routes, same status mapping, batch
   responses streamed item-by-item).

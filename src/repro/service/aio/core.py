@@ -1,11 +1,11 @@
-"""The asyncio service core: coalesce, then solve on a bounded pool.
+"""The asyncio service core: coalesce, then solve on the service's executor.
 
 :class:`AsyncServiceCore` wraps the transport-agnostic
 :class:`~repro.service.app.SchedulingService` with an event-loop request
 path.  One request flows::
 
-    parse_head ──► cache probe ──► single-flight ──► pool
-      (hash only)   (both tiers)     (per RequestKey)
+    parse_head ──► cache probe ──► single-flight ──► service.executor
+      (hash only)   (both tiers)     (per RequestKey)   (one job per flight)
 
 * ``parse_head`` validates and hashes on the loop **without decoding**
   the problem payload; coalesced duplicates therefore pay one decode
@@ -14,12 +14,14 @@ path.  One request flows::
   so a budget sweep over one workflow hashes and decodes its DAG once,
   and each miss's solve can replay a prefix of the Critical-Greedy trace
   memoized on that shared problem.
-* Solver work runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-  guarded by the same admission accounting as the threaded
-  :class:`~repro.service.executor.JobExecutor` (shared
-  :mod:`repro.service.jobs` vocabulary): a rejected miss never increments
-  ``submitted``, every admitted miss makes exactly one terminal
-  transition.
+* A flight leader submits one job to the service's
+  :class:`~repro.service.executor.JobExecutor` — the same bounded pool,
+  admission accounting and job records the threaded front end uses —
+  and awaits its future.  The job decodes the problem on a worker
+  thread, never on the loop.  A full queue fails the flight with
+  :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503); a flight
+  abandoned by its last waiter cancels its job, which the executor skips
+  if it is still queued and counts ``cancelled``.
 * A loop-lag monitor samples event-loop scheduling delay so ``/v1/stats``
   can report ``loop_lag_p95`` — the canary for accidentally blocking the
   loop (see the RT703 lint rule for the static version of that check).
@@ -35,12 +37,11 @@ import asyncio
 import time
 from collections import deque
 from collections.abc import AsyncIterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
-from repro.exceptions import ServiceError, ServiceOverloadedError, ServiceTimeoutError
+from repro.exceptions import ServiceError, ServiceTimeoutError
 from repro.service.app import KeyedRequest, SchedulingService, error_payload
-from repro.service.jobs import JobRecord, new_job_counts, percentile
+from repro.service.executor import percentile
 from repro.service.keys import RequestKey
 from repro.service.aio.coalesce import SingleFlight
 
@@ -53,13 +54,9 @@ class AsyncServiceCore:
     Parameters
     ----------
     service:
-        The wrapped scheduling service (cache, codec, live workflows and
-        solve bodies all come from it; its threaded executor sits idle).
-    max_workers / queue_size:
-        Bounded solver pool: up to ``max_workers`` concurrent solves with
-        ``queue_size`` more admitted and waiting; misses beyond
-        ``queue_size + max_workers`` in flight are rejected with
-        :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503).
+        The wrapped scheduling service: cache, codec, live workflows, and
+        the executor every miss is solved on (its ``max_workers`` and
+        ``queue_size`` bound the async front end too).
     default_timeout:
         Per-waiter timeout applied when a request carries none.  A waiter
         timing out never cancels the underlying solve while other waiters
@@ -72,33 +69,16 @@ class AsyncServiceCore:
         self,
         service: SchedulingService,
         *,
-        max_workers: int = 4,
-        queue_size: int = 64,
         default_timeout: float | None = None,
         lag_interval: float = 0.25,
-        record_limit: int = 1024,
     ) -> None:
-        if max_workers <= 0:
-            raise ServiceError(f"max_workers must be positive, got {max_workers}")
-        if queue_size <= 0:
-            raise ServiceError(f"queue_size must be positive, got {queue_size}")
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError(
                 f"default_timeout must be positive, got {default_timeout}"
             )
         self.service = service
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-aio-solver"
-        )
-        self._queue_size = int(queue_size)
-        self._capacity = int(queue_size) + int(max_workers)
         self._default_timeout = default_timeout
         self.flights = SingleFlight()
-        # Job accounting (mutated on the loop thread only).
-        self._counts = new_job_counts()
-        self._active = 0
-        self._next_id = 0
-        self._records: deque[JobRecord] = deque(maxlen=record_limit)
         #: Waiters that hit their per-request timeout while the solve
         #: kept running for the remaining waiters.
         self.waiter_timeouts = 0
@@ -118,19 +98,15 @@ class AsyncServiceCore:
             )
 
     async def drain(self) -> None:
-        """Graceful shutdown: reject new work, wait for in-flight, flush.
+        """Graceful shutdown: :meth:`SchedulingService.drain`, off the loop.
 
-        Mirrors :meth:`SchedulingService.drain`: readiness drops first so
-        routers fail over, every admitted job reaches its terminal state,
-        then the disk cache tier is flushed.
+        Readiness drops first so routers fail over, every admitted job
+        reaches its terminal state, then the disk cache tier is flushed.
         """
-        self.service._draining = True  # reject before waiting, like drain()
-        while self._active > 0:
-            await asyncio.sleep(0.01)
         await asyncio.get_running_loop().run_in_executor(None, self.service.drain)
 
     async def aclose(self) -> None:
-        """Stop the monitor and shut the solver pool down."""
+        """Stop the loop-lag monitor (the caller owns the service)."""
         if self._lag_task is not None:
             self._lag_task.cancel()
             try:
@@ -138,7 +114,6 @@ class AsyncServiceCore:
             except asyncio.CancelledError:
                 pass
             self._lag_task = None
-        self._pool.shutdown(wait=True)
 
     async def _lag_monitor(self) -> None:
         loop = asyncio.get_running_loop()
@@ -181,68 +156,23 @@ class AsyncServiceCore:
             if not self.service.degrade_on_timeout:
                 raise exc from None
             return await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._degraded_sync, keyed, exc
+                None, self._degraded_sync, keyed, exc
             )
         return response
 
     async def _miss(self, keyed: KeyedRequest) -> dict[str, Any]:
-        """Flight-leader body: admit one job and run it on the pool."""
-        if self._active >= self._capacity:
-            self._counts["rejected"] += 1
-            raise ServiceOverloadedError(self._queue_size)
-        record = JobRecord(
-            job_id=self._next_id, label=keyed.algorithm, queued_at=time.time()
-        )
-        self._next_id += 1
-        self._records.append(record)
-        self._counts["submitted"] += 1
-        self._active += 1
-        try:
-            record.status = "running"
-            record.started_at = time.time()
-            response = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._solve_single_sync, keyed
-            )
-        except asyncio.CancelledError:
-            self._terminal(record, "cancelled")
-            raise
-        except BaseException as exc:  # noqa: B036 - fed to the flight waiters
-            self._terminal(record, "failed", error=exc)
-            raise
-        self._terminal(record, "done", response=response)
+        """Flight-leader body: one job on the service's executor.
+
+        The job decodes and solves on a worker thread.  Cancelling the
+        flight cancels the job's future, so a job still queued is skipped.
+        """
+        future = self.service.executor.submit(keyed, label=keyed.algorithm)
+        response: dict[str, Any] = await asyncio.wrap_future(future)
         return response
 
-    def _terminal(
-        self,
-        record: JobRecord,
-        status: str,
-        *,
-        error: BaseException | None = None,
-        response: Mapping[str, Any] | None = None,
-    ) -> None:
-        record.status = status
-        record.finished_at = time.time()
-        if record.started_at is None:
-            record.started_at = record.finished_at
-        if error is not None:
-            record.error = f"{type(error).__name__}: {error}"
-        if response is not None:
-            try:
-                extra = self.service._annotate_record(response)
-            except Exception:  # lint: ignore[RS602] - cosmetic hook
-                extra = {}
-            record.engine = extra.get("engine")
-            hit = extra.get("cache_hit")
-            record.cache_hit = None if hit is None else bool(hit)
-        self._counts[status] += 1
-        self._active -= 1
-
     # ------------------------------------------------------------------ #
-    # Pool-thread bodies (never run on the loop)
+    # Worker-thread body (never runs on the loop)
     # ------------------------------------------------------------------ #
-
-    def _solve_single_sync(self, keyed: KeyedRequest) -> dict[str, Any]:
-        return self.service._solve_job(self.service.complete(keyed))
 
     def _degraded_sync(
         self, keyed: KeyedRequest, exc: ServiceTimeoutError
@@ -259,7 +189,7 @@ class AsyncServiceCore:
         Envelope validation and dispatch are eager — a non-array body
         raises *here*, before the first item is yielded, so the HTTP
         layer can still answer 400 with an unstarted response.  All
-        items run concurrently through the shared coalesce/pool path;
+        items run concurrently through the shared coalesce/executor path;
         item *i* is yielded once it (and its predecessors) are done, so
         the response streams back while later slots still converge.
         Items whose request key already appeared earlier in the batch
@@ -319,31 +249,14 @@ class AsyncServiceCore:
     # Introspection
     # ------------------------------------------------------------------ #
 
-    def records(self) -> list[JobRecord]:
-        """The retained job records, oldest first."""
-        return list(self._records)
-
     def stats(self) -> dict[str, Any]:
-        """The ``/v1/stats`` body with the async core's sections.
+        """The ``/v1/stats`` body plus the async core's ``aio`` section.
 
-        The ``executor`` section keeps the threaded shape (shared
-        :mod:`repro.service.jobs` counters) but reports *this* core's
-        pool; the ``aio`` section carries the coalescing and loop-lag
-        figures.
+        The ``executor`` section is the service's own: both front ends
+        report the one pool.  ``aio`` carries the coalescing and
+        loop-lag figures.
         """
         data = self.service.stats()
-        run_times = [
-            r.run_time
-            for r in self._records
-            if r.status == "done" and r.run_time is not None
-        ]
-        data["executor"] = {
-            **dict(self._counts),
-            "active": self._active,
-            "latency_p50": percentile(run_times, 50),
-            "latency_p95": percentile(run_times, 95),
-            "queue_capacity": self._queue_size,
-        }
         lag = list(self._lag_samples)
         data["aio"] = {
             "coalesced": self.flights.coalesced,

@@ -13,7 +13,9 @@ the wire:
   (``dumps({"results": [...], "status": "ok"})``), so any HTTP/1.1
   client — including the stdlib ones — decodes the same bytes.
 * ``GET /v1/stats`` carries the extra ``aio`` section (coalescing and
-  loop-lag figures) and the async core's ``executor`` counters.
+  loop-lag figures).  Its ``executor`` section is the service's
+  :class:`~repro.service.executor.JobExecutor`, the one pool every
+  cache miss is solved on, whichever front end took the request.
 
 Live-workflow endpoints do blocking log I/O, so they run on the default
 executor — never on the loop (the RT703 lint rule enforces the static
@@ -333,12 +335,13 @@ def serve_async(
     the disk cache flushes) and ``drained cleanly`` is printed on the way
     out.
     """
+    # The deadline is per waiter, enforced by the core; executor jobs
+    # run without a timer so a solve outlives a waiter that gave up.
     service = SchedulingService(
         max_workers=max_workers,
         queue_size=queue_size,
         cache_size=cache_size,
         cache_dir=cache_dir,
-        default_timeout=default_timeout,
         degrade_on_timeout=degrade_on_timeout,
         live_dir=live_dir,
         live_fsync=live_fsync,
@@ -349,12 +352,7 @@ def serve_async(
     )
 
     async def _main() -> int:
-        core = AsyncServiceCore(
-            service,
-            max_workers=max_workers,
-            queue_size=queue_size,
-            default_timeout=default_timeout,
-        )
+        core = AsyncServiceCore(service, default_timeout=default_timeout)
         await core.start()
         handler = AsyncServiceServer(core, verbose=verbose)
         server = await asyncio.start_server(handler.handle, host, port)
@@ -398,8 +396,9 @@ class BackgroundAsyncServer:
     """An async node on a daemon thread, for tests and benchmarks.
 
     Binds an ephemeral port, exposes :attr:`base_url` and the live
-    :attr:`core`, and tears the loop down on :meth:`stop`.  The wrapped
-    service is *not* closed — the caller owns it.
+    :attr:`core` (``core_kwargs`` go to :class:`AsyncServiceCore`), and
+    tears the loop down on :meth:`stop`.  The wrapped service, whose
+    executor runs every solve, is *not* closed — the caller owns it.
     """
 
     def __init__(self, service: SchedulingService, **core_kwargs: Any) -> None:

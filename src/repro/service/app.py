@@ -63,8 +63,7 @@ from repro.exceptions import (
 from repro.live.store import LiveWorkflowManager, PeerLink
 from repro.service import codec
 from repro.service.cache import ResultCache
-from repro.service.executor import JobExecutor
-from repro.service.jobs import percentile
+from repro.service.executor import JobExecutor, percentile
 from repro.service.keys import RequestKey, params_hash, problem_hash
 
 __all__ = [
@@ -255,8 +254,9 @@ class SchedulingService:
 
     Parameters
     ----------
-    max_workers / queue_size / default_timeout / use_processes:
-        Forwarded to the :class:`~repro.service.executor.JobExecutor`.
+    max_workers / queue_size / default_timeout:
+        Forwarded to the :class:`~repro.service.executor.JobExecutor`,
+        the one pool solves run on behind either HTTP front end.
     cache_size / cache_dir:
         Forwarded to the :class:`~repro.service.cache.ResultCache`;
         ``cache_dir`` enables the persistent disk tier.
@@ -292,7 +292,6 @@ class SchedulingService:
         cache_size: int = 1024,
         cache_dir: str | None = None,
         default_timeout: float | None = None,
-        use_processes: bool = False,
         latency_window: int = 4096,
         degrade_on_timeout: bool = False,
         live_dir: str | None = None,
@@ -316,7 +315,6 @@ class SchedulingService:
             max_workers=max_workers,
             queue_size=queue_size,
             default_timeout=default_timeout,
-            use_processes=use_processes,
             annotate=self._annotate_record,
         )
         self.degrade_on_timeout = bool(degrade_on_timeout)
@@ -468,10 +466,18 @@ class SchedulingService:
     # Solve paths
     # ------------------------------------------------------------------ #
 
-    def _solve_job(self, job: "ParsedRequest | _BatchSolveJob") -> dict[str, Any]:
-        """Executor job body: run the scheduler, encode, memoize."""
+    def _solve_job(
+        self, job: "ParsedRequest | KeyedRequest | _BatchSolveJob"
+    ) -> dict[str, Any]:
+        """Executor job body: run the scheduler, encode, memoize.
+
+        A :class:`KeyedRequest` (the asyncio core's miss) is decoded here,
+        on the worker thread, through the problem memo.
+        """
         if isinstance(job, _BatchSolveJob):
             return self._solve_group(job.items)
+        if isinstance(job, KeyedRequest):
+            job = self.complete(job)
         return self._store(job, job.scheduler.solve(job.problem, job.budget))
 
     def _solve_group(self, items: Sequence[ParsedRequest]) -> dict[str, Any]:

@@ -1,37 +1,39 @@
 """Bounded job executor: worker pool, backpressure, timeouts, job records.
 
 The executor turns the scheduling service into a queueing system with
-explicit limits instead of an unbounded thread-per-request free-for-all:
+explicit limits instead of an unbounded thread-per-request free-for-all.
+It is the one place solves run, whichever HTTP front end took the
+request: the threaded server blocks on the job's future, the asyncio
+core (:mod:`repro.service.aio.core`) awaits it.
 
 * **Bounded admission** — at most ``queue_size`` jobs may wait; a submit
   against a full queue raises
   :class:`~repro.exceptions.ServiceOverloadedError` immediately (the HTTP
   layer maps it to 503) rather than queueing unboundedly or blocking.
-* **Worker pool** — ``max_workers`` daemon threads by default; an opt-in
-  process pool (``use_processes=True``) for CPU-bound solve functions
-  that need to sidestep the GIL (the job function must be picklable).
+* **Worker pool** — ``max_workers`` daemon threads.
 * **Per-job timeouts** — a job that does not finish within its timeout
   resolves its future with :class:`~repro.exceptions.ServiceTimeoutError`.
   Thread workers cannot be preempted, so the underlying computation runs
   to completion and its result is discarded; the record notes the
   overrun.
+* **Cancellation** — a job whose future is cancelled while it waits
+  (the asyncio core cancels a flight nobody awaits any more) is skipped
+  by the worker that dequeues it and counted ``cancelled``; a running
+  job cannot be cancelled.
 * **Structured records** — every job leaves a :class:`JobRecord` with
   queued/started/finished timestamps, terminal status, and whatever the
   ``annotate`` hook extracted from the result (the scheduling service
   uses it to record the engine that served the request and the cache-hit
   flag), feeding the ``/v1/stats`` latency percentiles.
 
-The record and counter types themselves live in
-:mod:`repro.service.jobs` (shared with the asyncio core); they are
-re-exported here for compatibility.
-
 Accounting invariants (observable from any thread, at any instant):
 admission is atomic — a job is enqueued and counted ``submitted`` under
 one lock, so no observer can see its terminal count before its
 admission; a rejected submission is counted ``rejected`` only and never
 touches ``submitted`` or the active gauge; every admitted job makes
-exactly one terminal transition (claimed under the record lock), which
-performs the single matching ``active`` decrement.
+exactly one terminal transition (``done``, ``failed``, ``timeout`` or
+``cancelled``, claimed under the record lock), which performs the single
+matching ``active`` decrement.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ import queue
 import threading
 import time
 from collections import deque
-from collections.abc import Callable, Mapping
-from concurrent.futures import Future, InvalidStateError, ProcessPoolExecutor
+from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import Future, InvalidStateError
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import (
@@ -49,9 +52,71 @@ from repro.exceptions import (
     ServiceOverloadedError,
     ServiceTimeoutError,
 )
-from repro.service.jobs import JobRecord, new_job_counts, percentile
 
 __all__ = ["JobRecord", "JobExecutor", "percentile"]
+
+
+def percentile(samples: Sequence[float], q: float) -> float | None:
+    """Nearest-rank percentile of a sample list (``None`` when empty)."""
+    if not samples:
+        return None
+    if not 0 <= q <= 100:
+        raise ServiceError(f"percentile must be in [0, 100], got {q!r}")
+    ordered = sorted(samples)
+    rank = max(1, round(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
+@dataclass
+class JobRecord:
+    """The audit record of one submitted job."""
+
+    job_id: int
+    label: str
+    queued_at: float
+    started_at: float | None = None
+    finished_at: float | None = None
+    #: Terminal state: queued | running | done | failed | timeout | rejected
+    #: | cancelled.  ``timeout`` marks the *future's* resolution; the job
+    #: may still have run to (discarded) completion afterwards.
+    status: str = "queued"
+    #: Which engine served the request (set via the ``annotate`` hook).
+    engine: str | None = None
+    #: Whether the result came from the cache (set via ``annotate``).
+    cache_hit: bool | None = None
+    error: str | None = None
+    #: Guards cross-thread mutation (worker vs timeout timer).
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def wait_time(self) -> float | None:
+        """Seconds spent queued before a worker picked the job up."""
+        if self.started_at is None:
+            return None
+        return self.started_at - self.queued_at
+
+    @property
+    def run_time(self) -> float | None:
+        """Seconds spent executing (``None`` until the job finishes)."""
+        if self.started_at is None or self.finished_at is None:
+            return None
+        return self.finished_at - self.started_at
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-compatible rendering for stats and debugging endpoints."""
+        return {
+            "job_id": self.job_id,
+            "label": self.label,
+            "queued_at": self.queued_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "status": self.status,
+            "engine": self.engine,
+            "cache_hit": self.cache_hit,
+            "error": self.error,
+            "wait_time": self.wait_time,
+            "run_time": self.run_time,
+        }
 
 
 class _Job:
@@ -80,18 +145,14 @@ class JobExecutor:
     ----------
     fn:
         The job function; receives one request object, returns the result
-        delivered through the job's future.  Must be picklable when
-        ``use_processes=True``.
+        delivered through the job's future.
     max_workers:
-        Number of worker threads (or pool processes).
+        Number of worker threads.
     queue_size:
         Bounded admission: maximum number of *waiting* jobs.  Submissions
         beyond it raise :class:`ServiceOverloadedError`.
     default_timeout:
         Per-job timeout applied when ``submit`` passes none.
-    use_processes:
-        Run jobs on a :class:`~concurrent.futures.ProcessPoolExecutor`
-        instead of threads (opt-in; for pure-CPU solve functions).
     annotate:
         Optional hook mapping a successful result to extra
         :class:`JobRecord` fields (``engine``, ``cache_hit``).
@@ -106,7 +167,6 @@ class JobExecutor:
         max_workers: int = 4,
         queue_size: int = 64,
         default_timeout: float | None = None,
-        use_processes: bool = False,
         annotate: Callable[[Any], Mapping[str, Any]] | None = None,
         record_limit: int = 1024,
     ) -> None:
@@ -124,29 +184,24 @@ class JobExecutor:
         self._default_timeout = default_timeout
         self._lock = threading.Lock()
         self._records: deque[JobRecord] = deque(maxlen=record_limit)
-        self._counts = new_job_counts()
+        self._counts = dict.fromkeys(
+            ("submitted", "done", "failed", "timeout", "rejected", "cancelled"), 0
+        )
         #: Admitted jobs that have not yet reached a terminal state.
         self._active = 0
         self._next_id = 0
         self._shutdown = False
         self._draining = False
-
-        self._pool: ProcessPoolExecutor | None = None
+        self._jobs: "queue.Queue[_Job | None]" = queue.Queue(maxsize=queue_size)
         self._threads: list[threading.Thread] = []
-        if use_processes:
-            self._pool = ProcessPoolExecutor(max_workers=max_workers)
-            self._inflight = 0
-            self._inflight_cap = int(queue_size) + int(max_workers)
-        else:
-            self._jobs: "queue.Queue[_Job | None]" = queue.Queue(maxsize=queue_size)
-            for idx in range(max_workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"repro-service-worker-{idx}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
+        for idx in range(max_workers):
+            thread = threading.Thread(
+                target=self._worker_loop,
+                name=f"repro-service-worker-{idx}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -164,9 +219,8 @@ class JobExecutor:
         Raises
         ------
         ServiceOverloadedError
-            When the bounded queue (or process-pool admission window) is
-            full, or the executor has begun a graceful drain.  The caller
-            sheds load instead of blocking.
+            When the bounded queue is full, or the executor has begun a
+            graceful drain.  The caller sheds load instead of blocking.
         """
         if self._draining:
             raise ServiceOverloadedError(
@@ -186,31 +240,27 @@ class JobExecutor:
         record = JobRecord(job_id=job_id, label=label, queued_at=time.time())
         job = _Job(request, future, record, effective_timeout)
 
-        if self._pool is not None:
-            self._submit_process(job)
-        else:
-            # Admission is atomic with its accounting: the enqueue and the
-            # submitted/active increments happen under one lock, so a
-            # worker finishing the job can never have its terminal count
-            # observed before the admission count, and a rejected submit
-            # never increments counters it has no terminal transition to
-            # pair with.  (put_nowait never blocks, so holding the lock
-            # across it is safe.)
-            admitted = True
-            with self._lock:
-                try:
-                    self._jobs.put_nowait(job)
-                except queue.Full:
-                    admitted = False
-                    record.status = "rejected"
-                    record.finished_at = time.time()
-                    self._counts["rejected"] += 1
-                else:
-                    self._counts["submitted"] += 1
-                    self._active += 1
-                self._records.append(record)
-            if not admitted:
-                raise ServiceOverloadedError(self._queue_size) from None
+        # Admission is atomic with its accounting: the enqueue and the
+        # submitted/active increments happen under one lock, so a worker
+        # finishing the job can never have its terminal count observed
+        # before the admission count, and a rejected submit never
+        # increments counters it has no terminal transition to pair with.
+        # (put_nowait never blocks, so holding the lock across it is safe.)
+        admitted = True
+        with self._lock:
+            try:
+                self._jobs.put_nowait(job)
+            except queue.Full:
+                admitted = False
+                record.status = "rejected"
+                record.finished_at = time.time()
+                self._counts["rejected"] += 1
+            else:
+                self._counts["submitted"] += 1
+                self._active += 1
+            self._records.append(record)
+        if not admitted:
+            raise ServiceOverloadedError(self._queue_size) from None
         if effective_timeout is not None:
             timer = threading.Timer(
                 effective_timeout, self._expire, args=(job, effective_timeout)
@@ -221,7 +271,7 @@ class JobExecutor:
         return future
 
     # ------------------------------------------------------------------ #
-    # Thread worker path
+    # Worker path
     # ------------------------------------------------------------------ #
 
     def _worker_loop(self) -> None:
@@ -238,72 +288,31 @@ class JobExecutor:
     def _run_job(self, job: _Job) -> None:
         with job.record._lock:
             if job.record.status != "queued":
-                # Timed out (or cancelled) while waiting: don't waste a
-                # worker on a job whose future is already resolved.
+                # Timed out while waiting: don't waste a worker on a job
+                # whose future is already resolved.
                 return
-            job.record.status = "running"
-            job.record.started_at = time.time()
+            if not job.future.set_running_or_notify_cancel():
+                # Cancelled while waiting: this is its terminal transition.
+                job.record.status = "cancelled"
+                job.record.finished_at = time.time()
+                cancelled = True
+            else:
+                job.record.status = "running"
+                job.record.started_at = time.time()
+                cancelled = False
+        if cancelled:
+            if job.timer is not None:
+                job.timer.cancel()
+            with self._lock:
+                self._counts["cancelled"] += 1
+                self._active -= 1
+            return
         try:
             result = self._fn(job.request)
         except BaseException as exc:  # noqa: B036  # lint: ignore[RS602] - fed to the job future
             self._finish(job, error=exc)
         else:
             self._finish(job, result=result)
-
-    # ------------------------------------------------------------------ #
-    # Process pool path
-    # ------------------------------------------------------------------ #
-
-    def _submit_process(self, job: _Job) -> None:
-        assert self._pool is not None
-        # Same atomic-admission contract as the thread path: the capacity
-        # check and the submitted/active accounting share one critical
-        # section, and rejection counts only `rejected`.  `_inflight`
-        # tracks pool occupancy (freed when the pool future resolves),
-        # `_active` the logical job (freed at its terminal transition) —
-        # they diverge when a job times out but its process keeps running.
-        with self._lock:
-            overloaded = self._inflight >= self._inflight_cap
-            if overloaded:
-                job.record.status = "rejected"
-                job.record.finished_at = time.time()
-                self._counts["rejected"] += 1
-            else:
-                self._inflight += 1
-                self._active += 1
-                self._counts["submitted"] += 1
-            self._records.append(job.record)
-        if overloaded:
-            raise ServiceOverloadedError(self._queue_size)
-        with job.record._lock:
-            job.record.status = "running"
-            job.record.started_at = time.time()
-        try:
-            internal = self._pool.submit(self._fn, job.request)
-        except BaseException as exc:
-            # The pool refused the job (e.g. shutting down): make its one
-            # terminal transition here so the admission counters balance,
-            # then let the submit error propagate to the caller.
-            with job.record._lock:
-                job.record.status = "failed"
-                job.record.finished_at = time.time()
-                job.record.error = f"{type(exc).__name__}: {exc}"
-            with self._lock:
-                self._inflight -= 1
-                self._active -= 1
-                self._counts["failed"] += 1
-            raise
-
-        def _transfer(done: "Future[Any]") -> None:
-            with self._lock:
-                self._inflight -= 1
-            exc = done.exception()
-            if exc is not None:
-                self._finish(job, error=exc)
-            else:
-                self._finish(job, result=done.result())
-
-        internal.add_done_callback(_transfer)
 
     # ------------------------------------------------------------------ #
     # Completion / timeout
@@ -427,9 +436,6 @@ class JobExecutor:
         if self._shutdown:
             return
         self._shutdown = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-            return
         for _ in self._threads:
             self._jobs.put(None)
         if wait:

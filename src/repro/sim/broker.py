@@ -265,14 +265,14 @@ class WorkflowBroker:
                 vm.vm_type.name if vm is not None else "staging",
             )
             if vm is not None:
-                vm.start_module(module)
+                vm.start_module(module, start)
                 offset = self.faults.fail_after(
                     module, attempts[module], duration
                 )
                 if offset is not None:
                     engine.after(
                         offset,
-                        lambda: crash_module(module, vm.vm_id, start),
+                        lambda: crash_module(module, vm.vm_id, start, offset),
                         priority=EventPriority.COMPLETION,
                         label=f"crash:{module}",
                     )
@@ -284,11 +284,13 @@ class WorkflowBroker:
                 label=f"finish:{module}",
             )
 
-        def crash_module(module: str, vm_id: str, start: float) -> None:
+        def crash_module(
+            module: str, vm_id: str, start: float, ran: float
+        ) -> None:
             nonlocal replacement_seq
             now = engine.now
             vm = vms[vm_id]
-            vm.crash(now)
+            vm.crash(now, ran)
             self.datacenter.release(vm_id)
             attempts[module] += 1
             trace.failures.append(
@@ -354,7 +356,7 @@ class WorkflowBroker:
             )
             finished.add(module)
             if vm is not None:
-                vm.finish_module()
+                vm.finish_module(now, durations[module])
                 vm_pending[vm_id] -= 1
                 if vm_pending[vm_id] == 0:
                     vm.release(now)

@@ -6,6 +6,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.core.module import DataDependency, Module
@@ -15,6 +16,12 @@ from repro.core.vm import VMType, VMTypeCatalog
 from repro.core.workflow import Workflow
 from repro.workloads.example import example_problem as _example_problem
 from repro.workloads.wrf import wrf_problem as _wrf_problem
+
+# A failing draw prints its ``@reproduce_failure`` blob, so it replays
+# exactly.  The profile inherits everything else from the active one
+# (``default`` locally, ``ci`` under CI), so the same draws run.
+settings.register_profile("repro", settings(), print_blob=True)
+settings.load_profile("repro")
 
 
 @pytest.fixture(autouse=True, scope="session")

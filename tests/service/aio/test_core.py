@@ -7,6 +7,8 @@ the solver pool produces responses byte-identical to serial ``solve()``.
 """
 
 import asyncio
+import dataclasses
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -136,20 +138,49 @@ class TestSolveParity:
                 assert dumps(response["result"]) == dumps(serial["result"])
 
 
+class _GatedScheduler:
+    """Holds its worker until ``gate`` opens, then solves for real."""
+
+    def __init__(self, scheduler, gate, started):
+        self.scheduler = scheduler
+        self.gate = gate
+        self.started = started
+
+    def solve(self, problem, budget):
+        self.started.set()
+        assert self.gate.wait(10)
+        return self.scheduler.solve(problem, budget)
+
+
 class TestBackpressureAndTimeouts:
     def test_overload_rejected_with_typed_error(self, payload):
+        svc = SchedulingService(max_workers=1, queue_size=1, cache_size=8)
+        gate, started = threading.Event(), threading.Event()
+        # Fill the service's executor: one job holds the only worker,
+        # a second takes the only queue slot.
+        fillers = []
+        for budget in (60.0, 65.0):
+            parsed = svc.complete(svc.parse_head(dict(payload, budget=budget)))
+            gated = _GatedScheduler(parsed.scheduler, gate, started)
+            job = dataclasses.replace(parsed, scheduler=gated)
+            fillers.append(svc.executor.submit(job))
+            assert started.wait(5)
+
         async def body(svc, core):
-            # Stuff the admission gauge directly: capacity is
-            # queue_size + max_workers, and _miss checks it first.
-            core._active = core._capacity
-            with pytest.raises(ServiceOverloadedError):
-                await core.solve(payload)
-            core._active = 0
+            try:
+                with pytest.raises(ServiceOverloadedError):
+                    await core.solve(payload)
+            finally:
+                gate.set()
+            for filler in fillers:
+                await asyncio.wrap_future(filler)
             return core.stats()
 
-        stats = run(with_core(body, max_workers=1, queue_size=1))
+        stats = run(with_core(body, service=svc))
         assert stats["executor"]["rejected"] == 1
-        assert stats["executor"]["submitted"] == 0  # rejected is not submitted
+        # The rejected miss is not counted as submitted.
+        assert stats["executor"]["submitted"] == len(fillers)
+        assert stats["executor"]["done"] == len(fillers)
 
     def test_follower_timeout_does_not_cancel_solve(self, payload):
         async def body(svc, core):
@@ -314,7 +345,8 @@ class TestInterleavingProperty:
             ]
             return await asyncio.gather(*tasks, return_exceptions=True)
 
-        outcomes = run(with_core(body, queue_size=32))
+        service = SchedulingService(max_workers=2, queue_size=32, cache_size=64)
+        outcomes = run(with_core(body, service=service))
         for expected, outcome in zip(reference, outcomes):
             if expected[0] == "ok":
                 assert isinstance(outcome, dict), outcome

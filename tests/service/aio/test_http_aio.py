@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.algorithms.critical_greedy import CriticalGreedyScheduler
 from repro.core.serialize import problem_to_dict
 from repro.service.aio.http import BackgroundAsyncServer
 from repro.service.app import SchedulingService
@@ -24,7 +25,7 @@ from repro.service.http import ServiceClient, make_server
 def async_served():
     """(service, server, threaded client) around a live async node."""
     service = SchedulingService(max_workers=2, queue_size=8, cache_size=32)
-    with BackgroundAsyncServer(service, max_workers=2, queue_size=8) as server:
+    with BackgroundAsyncServer(service) as server:
         yield service, server, ServiceClient(server.base_url)
     service.close()
 
@@ -137,17 +138,17 @@ class TestCoalescingOverHttp:
     def test_concurrent_duplicates_coalesce_over_http(
         self, async_served, request_payload, monkeypatch
     ):
-        service, _, client = async_served
+        _, _, client = async_served
         # The example solves in well under a millisecond; hold the
-        # leader's pool job long enough for the duplicates' connections
-        # to arrive while its flight is still open.
-        solve_job = service._solve_job
+        # leader's executor job long enough for the duplicates'
+        # connections to arrive while its flight is still open.
+        solve = CriticalGreedyScheduler.solve
 
-        def slowed(job):
+        def slowed(scheduler, problem, budget):
             time.sleep(0.3)
-            return solve_job(job)
+            return solve(scheduler, problem, budget)
 
-        monkeypatch.setattr(service, "_solve_job", slowed)
+        monkeypatch.setattr(CriticalGreedyScheduler, "solve", slowed)
 
         # ServiceClient opens one connection per request, so six threads
         # put six concurrent duplicates on the wire.
@@ -164,3 +165,22 @@ class TestCoalescingOverHttp:
             >= len(responses)
         )
 
+
+class TestSharedExecutor:
+    def test_async_misses_are_jobs_on_the_service_executor(
+        self, async_served, request_payload
+    ):
+        service, _, client = async_served
+        budgets = [50.0, 57.0, 64.0]
+        for budget in budgets:
+            response = client.solve(dict(request_payload, budget=budget))
+            assert response["cache_hit"] is False
+        records = service.executor.records()
+        assert len(records) == len(budgets)
+        assert all(r.status == "done" for r in records)
+        assert all(r.label == "critical-greedy" for r in records)
+        stats = client.stats()["stats"]
+        assert stats["executor"]["submitted"] == len(budgets)
+        # The async node runs no solver pool of its own.
+        names = [thread.name for thread in threading.enumerate()]
+        assert not any(name.startswith("repro-aio-solver") for name in names)

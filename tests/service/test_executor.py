@@ -1,4 +1,4 @@
-"""Executor tests: pool, backpressure, timeouts, records, percentiles."""
+"""Executor tests: pool, backpressure, timeouts, cancellation, records, percentiles."""
 
 import threading
 import time
@@ -94,11 +94,12 @@ class TestBackpressure:
         # Regression: admission used to check queue depth and increment
         # ``submitted`` non-atomically, so a burst of concurrent submits
         # could over-admit past capacity and count rejected jobs as
-        # submitted.  Hammer a tiny executor from many threads and check
-        # the books balance exactly.
+        # submitted.  Hammer a tiny executor from many threads, cancelling
+        # every third admitted job, and check the books balance exactly.
         barrier = threading.Barrier(8)
         accepted = []
         rejected = []
+        cancelled = []
         lock = threading.Lock()
 
         ex = JobExecutor(lambda x: x, max_workers=2, queue_size=2)
@@ -115,18 +116,24 @@ class TestBackpressure:
                     else:
                         with lock:
                             accepted.append(future)
+                            if i % 3 == 0 and future.cancel():
+                                cancelled.append(future)
 
             threads = [threading.Thread(target=hammer) for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            ex.shutdown(drain=True)  # every queued job reaches its terminal state
             for future in accepted:
-                future.result(timeout=10)
+                if not future.cancelled():
+                    future.result(timeout=10)
 
             stats = ex.stats()
             assert stats["submitted"] == len(accepted)
             assert stats["rejected"] == len(rejected)
+            assert stats["cancelled"] == len(cancelled)
             assert stats["submitted"] + stats["rejected"] == 400
             terminal = (
                 stats["done"]
@@ -302,9 +309,36 @@ class TestGracefulDrain:
             ex.shutdown()
 
 
-class TestProcessPool:
-    def test_process_mode_solves(self):
-        with JobExecutor(
-            abs, max_workers=2, queue_size=4, use_processes=True
-        ) as ex:
-            assert ex.submit(-5).result(timeout=30) == 5
+class TestCancellation:
+    def test_job_cancelled_while_queued_never_runs(self):
+        release = threading.Event()
+        started = threading.Event()
+        ran = []
+
+        def blocker(x):
+            ran.append(x)
+            if x == "blocker":
+                started.set()
+                release.wait(10)
+            return x
+
+        ex = JobExecutor(blocker, max_workers=1, queue_size=4)
+        try:
+            first = ex.submit("blocker")
+            assert started.wait(5)  # the only worker is busy
+            queued = ex.submit("queued")
+            assert queued.cancel()
+            release.set()
+            assert first.result(timeout=5) == "blocker"
+            # The worker dequeues the cancelled job and must skip it.
+            assert ex.submit("after").result(timeout=5) == "after"
+        finally:
+            release.set()
+            ex.shutdown()
+        assert ran == ["blocker", "after"]
+        stats = ex.stats()
+        assert stats["cancelled"] == 1
+        assert stats["done"] == 2
+        assert stats["active"] == 0
+        statuses = [r.status for r in ex.records()]
+        assert statuses == ["done", "cancelled", "done"]

@@ -92,9 +92,9 @@ class TestVirtualMachine:
     def test_lifecycle(self):
         vm = self._vm()
         vm.boot_complete(10.0)
-        vm.start_module("w1")
+        vm.start_module("w1", 10.0)
         assert vm.state is VMState.BUSY
-        vm.finish_module()
+        vm.finish_module(15.5, 5.5)
         vm.release(15.5)
         record = vm.bill(HourlyBilling())
         assert record.billed_units == 6.0  # ceil(5.5)
@@ -104,12 +104,12 @@ class TestVirtualMachine:
     def test_cannot_start_before_boot(self):
         vm = self._vm()
         with pytest.raises(SimulationError):
-            vm.start_module("w1")
+            vm.start_module("w1", 10.0)
 
     def test_cannot_release_while_busy(self):
         vm = self._vm()
         vm.boot_complete(10.0)
-        vm.start_module("w1")
+        vm.start_module("w1", 10.0)
         with pytest.raises(SimulationError):
             vm.release(11.0)
 

@@ -1,10 +1,14 @@
 """Cross-cutting property tests tying the subsystems together."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.module import DataDependency, Module
+from repro.core.problem import MedCCProblem
 from repro.core.serialize import problem_from_dict, problem_to_dict
+from repro.core.vm import VMType, VMTypeCatalog
+from repro.core.workflow import Workflow
 
 from tests.conftest import medcc_problems, problems_with_budgets
 
@@ -24,8 +28,39 @@ def test_serialization_roundtrip_property(problem):
     )
 
 
+def _one_hour_after_an_odd_start() -> MedCCProblem:
+    """m1 runs exactly one hour from t=15.900884158703517.
+
+    Its calendar span ``(15.9008... + 1.0) - 15.9008...`` is
+    1.0000000000000018, which a bill read off the calendar rounds up to
+    two hours (simulated 19.0 against Eq. 7's 18.5).
+    """
+    workflow = Workflow(
+        [
+            Module("src", fixed_time=0.0),
+            Module("m0", workload=53.665484035624374),
+            Module("m1", workload=0.5),
+            Module("dst", fixed_time=0.0),
+        ],
+        [
+            DataDependency("src", "m0"),
+            DataDependency("m0", "m1"),
+            DataDependency("m1", "dst"),
+        ],
+        name="hypothesis-dag",
+    )
+    catalog = VMTypeCatalog(
+        [
+            VMType(name="T0", power=0.5, rate=0.5),
+            VMType(name="T1", power=3.375, rate=1.125),
+        ]
+    )
+    return MedCCProblem(workflow=workflow, catalog=catalog)
+
+
 @settings(max_examples=30, deadline=None)
 @given(pb=problems_with_budgets(max_modules=6, max_types=3))
+@example(pb=(_one_hour_after_an_odd_start(), 18.5))
 def test_cost_accounting_is_consistent_everywhere(pb):
     """Property: cost_of == evaluate().total_cost == simulated bill."""
     from repro.algorithms.critical_greedy import CriticalGreedyScheduler

@@ -19,10 +19,9 @@ Two entry points:
     is what a node without the live subsystem would pay on every event —
     and reports the ratio, and
   - micro-benchmarks the durability tax: per-record append latency on
-    the live log with ``fsync`` on (the default) vs off
-    (``--live-fsync=off``, unsafe), under a ``durability`` key — so the
-    cost of the crash-safety guarantee is a measured number, not
-    folklore.
+    the live log with ``fsync`` (what the service always does) vs
+    without, under a ``durability`` key — so the cost of the
+    crash-safety guarantee is a measured number, not folklore.
 
 ``--check`` additionally replays a *zero-drift* stream and exits
 non-zero unless the revision counter stays 0 and the final assignment
@@ -86,7 +85,7 @@ def _event_stream(problem, live: LiveWorkflow, drift: float) -> list[dict]:
         module = workflow.module(name)
         if module.is_schedulable:
             row = matrices.row_index[name]
-            duration = drift * matrices.time(name, live._columns[row])
+            duration = drift * matrices.time(name, live._state.columns[row])
         else:
             duration = float(module.fixed_time or 0.0)
         events.append({"seq": seq, "type": "started", "module": name})

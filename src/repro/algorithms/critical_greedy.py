@@ -20,14 +20,16 @@ Termination: each applied step strictly decreases the rescheduled module's
 execution time, and a module has only ``n`` distinct times, so the loop
 runs at most ``m * (n - 1)`` iterations.
 
-One production loop implements it: :meth:`CriticalGreedyScheduler.solve`
-keeps one :class:`~repro.core.fastpath.IncrementalSweep` that
-repropagates only the topological span a single-module upgrade can
-affect (instead of a full CP sweep per iteration), and the candidate
-search is a fully vectorized eps-aware lexicographic argmax
-(:func:`_pick_step`) that provably selects the same (module, type) entry
-as the scalar scan — falling back to the exact scalar scan in the rare
-near-tie cases where the eps-chained comparisons are order-dependent.
+One step engine implements it: :class:`_GreedyState`, which both
+:meth:`CriticalGreedyScheduler.solve` and the live replanner
+(:mod:`repro.live.state`) run.  It keeps one
+:class:`~repro.core.fastpath.IncrementalSweep` that repropagates only the
+topological span a single-module upgrade can affect (instead of a full
+CP sweep per iteration), and its candidate search is a fully vectorized
+eps-aware lexicographic argmax (:func:`_pick_step_vectorized`) that
+provably selects the same (module, type) entry as the scalar scan —
+falling back to the exact scalar scan in the rare near-tie cases where
+the eps-chained comparisons are order-dependent.
 
 **Trace-prefix warm start.**  The loop depends on the budget only
 through its affordability cutoff, so the step sequence at budget ``b``
@@ -73,7 +75,7 @@ of it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,7 +144,8 @@ def _pick_step(
     Returns the same ``(row, type, dt, dc)`` the scalar scan
     (:func:`_pick_step_scan`) selects, or ``None`` when no entry is
     valid: :func:`_pick_step_vectorized`, falling back to the scan when
-    that reports a near tie.
+    that reports a near tie — :meth:`_GreedyState.pick` without its
+    ``scanned`` flag.
     """
     picked = _pick_step_vectorized(dt_all, dc_all, valid, num_types)
     if picked is _NEAR_TIE:
@@ -216,6 +219,87 @@ class _Trace(NamedTuple):
     replayable: int
 
 
+class _GreedyState:
+    """Algorithm 1's incremental step state for one problem.
+
+    Owns the type ``columns`` (adopted, not copied), the current te/ce
+    rows, the whole ΔT/ΔC grids and one
+    :class:`~repro.core.fastpath.IncrementalSweep`, built in one full
+    sweep; ``pinned`` maps module names to realized durations that
+    override the planned ones.  :meth:`move` keeps every structure
+    bitwise equal to a fresh build on the new columns.
+    """
+
+    #: The affordability tolerance; callers' loop guards must use it too.
+    eps = _EPS
+
+    def __init__(
+        self,
+        problem: MedCCProblem,
+        columns: list[int],
+        *,
+        transfer_aware: bool = True,
+        pinned: Mapping[str, float] | None = None,
+    ) -> None:
+        matrices = problem.matrices
+        self.te, self.ce = matrices.te, matrices.ce
+        self.columns = columns
+        rows = np.arange(matrices.num_modules)
+        self.current_te = self.te[rows, columns]
+        self.current_ce = self.ce[rows, columns]
+        self.dt = self.current_te[:, None] - self.te
+        self.dc = self.ce - self.current_ce[:, None]
+        index = fastpath.graph_index(problem.workflow)
+        durations = dict(zip(index.names, index.base_durations))
+        durations.update(zip(matrices.module_names, self.current_te.tolist()))
+        durations.update(pinned or {})
+        self.sweep = fastpath.IncrementalSweep(
+            problem.workflow,
+            durations,
+            transfer_times=problem.transfer_times if transfer_aware else None,
+        )
+
+    def pick(
+        self, extra: float, *, scope_all: bool, pending: np.ndarray | None = None
+    ) -> tuple[int, int, float, float, bool] | None:
+        """The next step ``(row, j, dt, dc, scanned)``, or ``None``.
+
+        With spare budget ``extra > _EPS`` this is Alg. 1's pick: the
+        largest affordable ΔT (of a critical row unless ``scope_all``),
+        least ΔC on ties.  With ``extra < -_EPS`` it is the repair pick:
+        the same selector over cost-decreasing moves, so the least time
+        damage comes first.  ``pending`` masks the rows that may move;
+        ``scanned`` is true when a near tie sent the pick to the scan.
+        """
+        if extra < -_EPS:
+            valid = self.dc < -_EPS
+        else:
+            valid = (self.dt > _EPS) & (self.dc <= extra + _EPS)
+            if not scope_all:
+                critical = self.sweep.critical_rows()
+                if not critical.any():
+                    return None
+                valid &= critical[:, None]
+        if pending is not None:
+            valid &= pending[:, None]
+        num_types = self.te.shape[1]
+        picked = _pick_step_vectorized(self.dt, self.dc, valid, num_types)
+        scanned = picked is _NEAR_TIE
+        if scanned:
+            picked = _pick_step_scan(self.dt, self.dc, valid, num_types)
+        return None if picked is None else (*picked, scanned)
+
+    def move(self, row: int, j: int) -> float:
+        """Put ``row`` on type ``j`` (the one step application); returns the makespan."""
+        self.columns[row] = j
+        new_time = float(self.te[row, j])
+        self.current_te[row] = new_time
+        self.current_ce[row] = self.ce[row, j]
+        self.dt[row, :] = self.current_te[row] - self.te[row, :]
+        self.dc[row, :] = self.ce[row, :] - self.current_ce[row]
+        return self.sweep.set_row_duration(row, new_time)
+
+
 @register_scheduler("critical-greedy")
 @dataclass
 class CriticalGreedyScheduler:
@@ -259,8 +343,6 @@ class CriticalGreedyScheduler:
         """
         problem.check_feasible(budget)
         matrices = problem.matrices
-        te, ce = matrices.te, matrices.ce
-        num_modules, num_types = matrices.num_modules, matrices.num_types
         module_names = matrices.module_names
 
         # Least-cost start (Alg. 1, step 2) and its (transfer-inclusive)
@@ -286,63 +368,24 @@ class CriticalGreedyScheduler:
                 # The stored run stopped here, and so does this one.
                 return self._result(problem, budget, columns, steps)
 
-        index = fastpath.graph_index(problem.workflow)
-        rows_arange = np.arange(num_modules)
-        current_te = te[rows_arange, columns]
-        current_ce = ce[rows_arange, columns]
-        durations = list(index.base_durations)
-        for row, node in enumerate(index.sched_nodes):
-            durations[node] = float(current_te[row])
-        # Built straight on the start columns: one full sweep.
-        sweep = fastpath.IncrementalSweep(
-            problem.workflow,
-            dict(zip(index.names, durations)),
-            transfer_times=problem.transfer_times if self.transfer_aware else None,
-        )
-
-        # Whole dt/dc matrices, maintained incrementally: only the
-        # upgraded module's row changes between iterations, and the
-        # refresh repeats the exact subtraction a full rebuild would
-        # perform, so every entry stays bit-identical to it.
-        dt_all = current_te[:, None] - te
-        dc_all = ce - current_ce[:, None]
-
+        state = _GreedyState(problem, columns, transfer_aware=self.transfer_aware)
         # Steps before the first near-tie (scan) pick: only those replay.
         replayable: int | None = None
         scope_all = self.candidate_scope == "all"
         while budget - cost > _EPS:
-            extra = budget - cost
-            affordable = (dt_all > _EPS) & (dc_all <= extra + _EPS)
-            if scope_all:
-                valid = affordable
-            else:
-                critical = sweep.critical_rows()
-                if not critical.any():
-                    break
-                valid = affordable & critical[:, None]
-            picked = _pick_step_vectorized(dt_all, dc_all, valid, num_types)
-            if picked is _NEAR_TIE:
-                if replayable is None:
-                    replayable = len(steps)
-                picked = _pick_step_scan(dt_all, dc_all, valid, num_types)
+            picked = state.pick(budget - cost, scope_all=scope_all)
             if picked is None:
                 break
-            row, j, best_dt, best_dc = picked
-
-            module = module_names[row]
+            row, j, best_dt, best_dc, scanned = picked
+            if scanned and replayable is None:
+                replayable = len(steps)
             from_type = columns[row]
-            columns[row] = j
-            new_time = float(te[row, j])
-            current_te[row] = new_time
-            current_ce[row] = ce[row, j]
-            dt_all[row, :] = current_te[row] - te[row, :]
-            dc_all[row, :] = ce[row, :] - current_ce[row]
+            makespan = state.move(row, j)
             cost += best_dc
-            makespan = sweep.set_row_duration(row, new_time)
             rows.append(row)
             steps.append(
                 ReschedulingStep(
-                    module=module,
+                    module=module_names[row],
                     from_type=from_type,
                     to_type=j,
                     time_decrease=best_dt,

@@ -187,13 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(and heal a corrupt/missing local log from); repeatable",
     )
     p_serve.add_argument(
-        "--live-fsync",
-        choices=("on", "off"),
-        default="on",
-        help="fsync each live-log append before acknowledging (default on; "
-        "'off' is UNSAFE — an acked event can vanish on power loss)",
-    )
-    p_serve.add_argument(
         "--live-checkpoint-interval",
         type=int,
         default=0,
@@ -431,7 +424,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 default_timeout=args.timeout,
                 degrade_on_timeout=args.degrade_on_timeout,
                 live_dir=args.live_dir,
-                live_fsync=args.live_fsync == "on",
                 live_peers=args.live_peer,
                 live_checkpoint_interval=args.live_checkpoint_interval,
                 live_retention=args.live_retention,

@@ -277,6 +277,19 @@ def transfer_vector(
     return [float(get(edge, 0.0)) for edge in index.pred_edges]
 
 
+def _duration_vector(index: GraphIndex, durations: Mapping[str, float]) -> list[float]:
+    """Name-keyed durations in node-id order, validated like the reference."""
+    vector: list[float] = []
+    for name in index.names:
+        if name not in durations:
+            raise ScheduleError(f"no duration supplied for module {name!r}")
+        value = durations[name]
+        if value < 0:
+            raise ScheduleError(f"module {name!r} has negative duration {value!r}")
+        vector.append(float(value))
+    return vector
+
+
 def sweep_arrays(
     index: GraphIndex,
     durations: list[float],
@@ -309,67 +322,14 @@ def sweep_arrays(
     :func:`~repro.core.critical_path.analyze_critical_path`.
     """
     n = index.num_nodes
-    pred_ptr = index.pred_ptr
-    pred_idx = index.pred_idx
     est: list[float] = [0.0] * n
     eft: list[float] = [0.0] * n
     argmax_pred: list[int] = [-1] * n
-
-    if transfers is None:
-        for v in range(n):
-            lo, hi = pred_ptr[v], pred_ptr[v + 1]
-            best = 0.0
-            best_pred = -1
-            for k in range(lo, hi):
-                p = pred_idx[k]
-                ready = eft[p]
-                if best_pred < 0 or ready > best:
-                    best = ready
-                    best_pred = p
-            est[v] = best
-            eft[v] = best + durations[v]
-            argmax_pred[v] = best_pred
-    else:
-        for v in range(n):
-            lo, hi = pred_ptr[v], pred_ptr[v + 1]
-            best = 0.0
-            best_pred = -1
-            for k in range(lo, hi):
-                p = pred_idx[k]
-                ready = eft[p] + transfers[k]
-                if best_pred < 0 or ready > best:
-                    best = ready
-                    best_pred = p
-            est[v] = best
-            eft[v] = best + durations[v]
-            argmax_pred[v] = best_pred
-
+    _forward_full(index, durations, transfers, est, eft, argmax_pred, 0)
     makespan = eft[index.exit]
-
-    succ_ptr = index.succ_ptr
-    succ_idx = index.succ_idx
-    succ_slot = index.succ_slot
     lft: list[float] = [0.0] * n
     lst: list[float] = [0.0] * n
-    for v in range(n - 1, -1, -1):
-        lo, hi = succ_ptr[v], succ_ptr[v + 1]
-        if lo == hi:
-            latest = makespan
-        elif transfers is None:
-            latest = lst[succ_idx[lo]]
-            for k in range(lo + 1, hi):
-                cand = lst[succ_idx[k]]
-                if cand < latest:
-                    latest = cand
-        else:
-            latest = lst[succ_idx[lo]] - transfers[succ_slot[lo]]
-            for k in range(lo + 1, hi):
-                cand = lst[succ_idx[k]] - transfers[succ_slot[k]]
-                if cand < latest:
-                    latest = cand
-        lft[v] = latest
-        lst[v] = latest - durations[v]
-
+    _backward_full(index, durations, transfers, makespan, lst, lft)
     return est, eft, lst, lft, argmax_pred, makespan
 
 
@@ -397,6 +357,53 @@ def critical_row_mask(
     return mask
 
 
+def _forward_full(
+    index: GraphIndex,
+    durations: list[float],
+    transfers: list[float] | None,
+    est: list[float],
+    eft: list[float],
+    argmax_pred: list[int],
+    start: int,
+) -> None:
+    """Forward pass over nodes ``start ..`` to the last, in place.
+
+    The :func:`sweep_arrays` forward body and :func:`_forward_span`'s
+    tail: unconditional writes, no change-check or watermark bookkeeping.
+    """
+    n = index.num_nodes
+    pred_ptr = index.pred_ptr
+    pred_idx = index.pred_idx
+    if transfers is None:
+        for v in range(start, n):
+            lo, hi = pred_ptr[v], pred_ptr[v + 1]
+            best = 0.0
+            best_pred = -1
+            for k in range(lo, hi):
+                p = pred_idx[k]
+                ready = eft[p]
+                if best_pred < 0 or ready > best:
+                    best = ready
+                    best_pred = p
+            est[v] = best
+            eft[v] = best + durations[v]
+            argmax_pred[v] = best_pred
+    else:
+        for v in range(start, n):
+            lo, hi = pred_ptr[v], pred_ptr[v + 1]
+            best = 0.0
+            best_pred = -1
+            for k in range(lo, hi):
+                p = pred_idx[k]
+                ready = eft[p] + transfers[k]
+                if best_pred < 0 or ready > best:
+                    best = ready
+                    best_pred = p
+            est[v] = best
+            eft[v] = best + durations[v]
+            argmax_pred[v] = best_pred
+
+
 def _forward_span(
     index: GraphIndex,
     durations: list[float],
@@ -417,30 +424,14 @@ def _forward_span(
     case almost immediately).  Every recomputed node runs the exact
     per-node accumulation of :func:`sweep_arrays`.
     """
-    n = index.num_nodes
     pred_ptr = index.pred_ptr
     pred_idx = index.pred_idx
     max_succ = index.max_succ
-    last = n - 1
+    last = index.num_nodes - 1
     hi = node
     v = node
     if transfers is None:
-        while v <= hi:
-            if hi == last:
-                for w in range(v, n):
-                    lo_, hi_ = pred_ptr[w], pred_ptr[w + 1]
-                    best = 0.0
-                    best_pred = -1
-                    for k in range(lo_, hi_):
-                        p = pred_idx[k]
-                        ready = eft[p]
-                        if best_pred < 0 or ready > best:
-                            best = ready
-                            best_pred = p
-                    est[w] = best
-                    argmax_pred[w] = best_pred
-                    eft[w] = best + durations[w]
-                break
+        while v <= hi < last:
             lo_, hi_ = pred_ptr[v], pred_ptr[v + 1]
             best = 0.0
             best_pred = -1
@@ -460,22 +451,7 @@ def _forward_span(
                     hi = ms
             v += 1
     else:
-        while v <= hi:
-            if hi == last:
-                for w in range(v, n):
-                    lo_, hi_ = pred_ptr[w], pred_ptr[w + 1]
-                    best = 0.0
-                    best_pred = -1
-                    for k in range(lo_, hi_):
-                        p = pred_idx[k]
-                        ready = eft[p] + transfers[k]
-                        if best_pred < 0 or ready > best:
-                            best = ready
-                            best_pred = p
-                    est[w] = best
-                    argmax_pred[w] = best_pred
-                    eft[w] = best + durations[w]
-                break
+        while v <= hi < last:
             lo_, hi_ = pred_ptr[v], pred_ptr[v + 1]
             best = 0.0
             best_pred = -1
@@ -494,6 +470,8 @@ def _forward_span(
                 if ms > hi:
                     hi = ms
             v += 1
+    if v <= hi:  # the watermark reached the last node: plain tail pass
+        _forward_full(index, durations, transfers, est, eft, argmax_pred, v)
     return hi
 
 
@@ -505,7 +483,7 @@ def _backward_full(
     lst: list[float],
     lft: list[float],
 ) -> None:
-    """Whole-graph backward pass (the plain :func:`sweep_arrays` body).
+    """Whole-graph backward pass (the :func:`sweep_arrays` backward body).
 
     Used by the incremental engines whenever the makespan moved — the
     shift reaches nearly every node, so change-check/watermark
@@ -741,17 +719,7 @@ class IncrementalSweep:
 
     def reset(self, durations: Mapping[str, float]) -> float:
         """Name-keyed :meth:`reset_vector` with reference-style validation."""
-        vector: list[float] = []
-        for name in self.index.names:
-            if name not in durations:
-                raise ScheduleError(f"no duration supplied for module {name!r}")
-            value = durations[name]
-            if value < 0:
-                raise ScheduleError(
-                    f"module {name!r} has negative duration {value!r}"
-                )
-            vector.append(float(value))
-        return self.reset_vector(vector)
+        return self.reset_vector(_duration_vector(self.index, durations))
 
     def _full_resweep(self) -> None:
         self.full_sweeps += 1
@@ -1007,16 +975,7 @@ def fast_critical_path(
         negative (identical to the reference).
     """
     index = graph_index(workflow)
-    vector: list[float] = []
-    for name in index.names:
-        if name not in durations:
-            raise ScheduleError(f"no duration supplied for module {name!r}")
-        value = durations[name]
-        if value < 0:
-            raise ScheduleError(
-                f"module {name!r} has negative duration {value!r}"
-            )
-        vector.append(float(value))
+    vector = _duration_vector(index, durations)
     transfers = transfer_vector(index, transfer_times)
     swept = sweep_arrays(index, vector, transfers)
     return _result_from_lists(workflow, index, vector, swept)

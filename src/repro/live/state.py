@@ -7,28 +7,27 @@ spend so far.  Each accepted event — ``started``, ``completed``,
 ``failed``, ``topup`` — updates that state and then re-optimizes the
 **remaining** DAG under the **remaining** budget.
 
-Re-optimization is a warm continuation of the incremental
-Critical-Greedy engine, not a fresh solve: the ΔT/ΔC grids, the current
-te/ce rows and one persistent :class:`~repro.core.fastpath.IncrementalSweep`
-survive across events, so a completion costs one ``set_duration`` delta
-sweep plus a vectorized candidate argmax over the still-pending rows.
-Two loops run per event:
+Re-optimization runs Critical-Greedy's own step state
+(:class:`~repro.algorithms.critical_greedy._GreedyState`: type columns,
+te/ce rows, ΔT/ΔC grids and one incremental sweep), kept across events,
+so a completion costs one ``set_duration`` delta sweep plus a vectorized
+candidate argmax over the still-pending rows.  Two loops run per event:
 
 * a **repair** pass while the projected cost exceeds the budget (sunk
   failure bills eat the envelope): downgrade pending modules, picking
   the candidate with the *least* time damage first (max ΔT) and the
-  biggest saving on ties (min ΔC) — the same lexicographic selector as
-  the upgrade direction, so the policy mirrors Alg. 1;
+  biggest saving on ties (min ΔC) — the state's repair pick, the same
+  lexicographic selector as the upgrade direction;
 * the standard Critical-Greedy **upgrade** pass (Alg. 1 lines 9-17)
   restricted to pending rows.
 
 The zero-drift identity is bit-exact by construction: the projected
 cost is seeded from the offline run's own accumulator (the last step's
 ``cost_after``), actual costs are billed through the same
-``BillingPolicy`` arithmetic that built the CE matrix, and the grids are
-refreshed with the exact subtractions ``CriticalGreedyScheduler.solve``
-performs — so replaying a drift-free trace leaves no affordable step and the
-revision counter stays 0 (property-tested in ``tests/live``).
+``BillingPolicy`` arithmetic that built the CE matrix, and every move is
+the solver's own step application — so replaying a drift-free trace
+leaves no affordable step and the revision counter stays 0
+(property-tested in ``tests/live``).
 
 Thread safety: instances are *not* thread-safe; the
 :class:`~repro.live.store.LiveWorkflowManager` serializes access with a
@@ -45,8 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import SchedulerResult
-from repro.algorithms.critical_greedy import _EPS, _pick_step
-from repro.core import fastpath
+from repro.algorithms.critical_greedy import _GreedyState
 from repro.core.problem import MedCCProblem
 from repro.core.schedule import Schedule
 from repro.exceptions import EventConflictError, LiveWorkflowError
@@ -201,46 +199,32 @@ class LiveWorkflow:
         self.budget = float(budget)
         self.algorithm = plan.algorithm
         self.candidate_scope = candidate_scope
+        self._transfer_aware = transfer_aware
 
         matrices = problem.matrices
-        self._te = matrices.te
-        self._ce = matrices.ce
         self._num_types = matrices.num_types
         self._module_names = matrices.module_names
         self._row_index = matrices.row_index
-
         workflow = problem.workflow
         self._workflow = workflow
-        self._index = fastpath.graph_index(workflow)
-        transfer_times = problem.transfer_times if transfer_aware else None
-        self._sweep = fastpath.IncrementalSweep(
-            workflow, transfer_times=transfer_times
-        )
 
-        # Current plan, row-indexed like the solver's internal state.
-        self._columns = [int(plan.schedule[name]) for name in self._module_names]
-        rows = np.arange(matrices.num_modules)
-        self._current_te = self._te[rows, self._columns]
-        self._current_ce = self._ce[rows, self._columns]
-        durations = list(self._index.base_durations)
-        for row, node in enumerate(self._index.sched_nodes):
-            durations[node] = float(self._current_te[row])
-        self.projected_makespan = self._sweep.reset_vector(durations)
-        self._dt_all = self._current_te[:, None] - self._te
-        self._dc_all = self._ce - self._current_ce[:, None]
+        # The current plan in the solver's own step state.
+        self._state = _GreedyState(
+            problem,
+            [int(plan.schedule[name]) for name in self._module_names],
+            transfer_aware=transfer_aware,
+        )
+        self.projected_makespan = self._state.sweep.makespan
 
         # Seed the cost accumulator from the offline run's own running
         # sum (cost0 + applied ΔC, i.e. the last step's cost_after) so a
         # drift-free replay sees the *bitwise identical* `extra` the
         # offline loop terminated with — a fresh cost_of() summation
         # could differ in the last ulp and manufacture a phantom step.
-        if plan.steps:
-            self.projected_cost = float(plan.steps[-1].cost_after)
-        else:
-            least_cost = [int(j) for j in matrices.least_cost_choice()]
-            self.projected_cost = problem.cost_of(
-                Schedule._adopt(dict(zip(self._module_names, least_cost)))
-            )
+        # With no steps that sum is cost0, the cost of the plan itself.
+        self.projected_cost = (
+            float(plan.steps[-1].cost_after) if plan.steps else problem.cost_of(plan.schedule)
+        )
 
         self._status: dict[str, str] = {
             name: PENDING for name in workflow.module_names
@@ -364,7 +348,7 @@ class LiveWorkflow:
             "over_budget": self.over_budget,
             "failures": self.failures,
             "reconciliations": self.reconciliations,
-            "columns": [int(j) for j in self._columns],
+            "columns": [int(j) for j in self._state.columns],
             "status": {
                 name: self._status[name]
                 for name in self._workflow.module_names
@@ -450,12 +434,12 @@ class LiveWorkflow:
                 key not in status
                 or isinstance(value, bool)
                 or not isinstance(value, (int, float))
-                or not math.isfinite(float(value))
+                or not 0 <= float(value) < math.inf
                 for key, value in mapping.items()
             ):
                 raise LiveWorkflowError(
                     f"checkpoint field {field!r} must map known modules "
-                    "to finite numbers"
+                    "to finite non-negative numbers"
                 )
             realized[field] = {key: float(value) for key, value in mapping.items()}
         history_raw = state.get("history")
@@ -488,12 +472,6 @@ class LiveWorkflow:
         self.reconciliations = _int("reconciliations")
         self.revision = _int("revision")
         self.last_seq = _int("last_seq")
-        self._columns = [int(j) for j in columns]
-        rows = np.arange(len(names))
-        self._current_te = self._te[rows, self._columns]
-        self._current_ce = self._ce[rows, self._columns]
-        self._dt_all = self._current_te[:, None] - self._te
-        self._dc_all = self._ce - self._current_ce[:, None]
         self._status = {
             name: str(status[name]) for name in self._workflow.module_names
         }
@@ -506,15 +484,16 @@ class LiveWorkflow:
             count=len(names),
         )
 
-        # Rebuild the sweep exactly as the event path left it: planned
-        # te everywhere, overridden by realized durations for completed
-        # modules (the only ones `set_duration` ever re-pins).
-        durations = list(self._index.base_durations)
-        for row, node in enumerate(self._index.sched_nodes):
-            durations[node] = float(self._current_te[row])
-        for name, value in self._actual_time.items():
-            durations[self._index.node_index[name]] = value
-        makespan = self._sweep.reset_vector(durations)
+        # Rebuild the step state exactly as the event path left it:
+        # planned te everywhere, overridden by realized durations for
+        # completed modules (the only ones the event path ever pins).
+        self._state = _GreedyState(
+            self.problem,
+            [int(j) for j in columns],
+            transfer_aware=self._transfer_aware,
+            pinned=self._actual_time,
+        )
+        makespan = self._state.sweep.makespan
         stored = _float("projected_makespan")
         if makespan != stored:  # lint: ignore[RA901] - bitwise snapshot integrity check
             raise LiveWorkflowError(
@@ -590,21 +569,14 @@ class LiveWorkflow:
     # ------------------------------------------------------------------ #
 
     def _reassign(self, row: int, j: int) -> None:
-        """Move one pending row to type ``j``; exact incremental updates.
+        """Move one row to type ``j`` through the shared step state.
 
-        Identical arithmetic to the offline step application in
-        ``CriticalGreedyScheduler.solve`` — same row
-        refreshes, same accumulator addition, same delta sweep.
+        The move is the offline solver's own step application
+        (``_GreedyState.move``), and the cost accumulator adds the same
+        grid ΔC the solver's does.
         """
-        dc = float(self._ce[row, j] - self._current_ce[row])
-        self._columns[row] = j
-        new_time = float(self._te[row, j])
-        self._current_te[row] = new_time
-        self._current_ce[row] = self._ce[row, j]
-        self._dt_all[row, :] = self._current_te[row] - self._te[row, :]
-        self._dc_all[row, :] = self._ce[row, :] - self._current_ce[row]
-        self.projected_cost += dc
-        self.projected_makespan = self._sweep.set_row_duration(row, new_time)
+        self.projected_cost += float(self._state.dc[row, j])
+        self.projected_makespan = self._state.move(row, j)
 
     def _apply(self, event: LiveEvent) -> bool:
         """Mutate per-event state; returns whether the assignment changed."""
@@ -623,7 +595,7 @@ class LiveWorkflow:
             if schedulable:
                 if event.vm_type is not None:
                     j = self.problem.catalog.index_of(event.vm_type)
-                    if j != self._columns[row]:
+                    if j != self._state.columns[row]:
                         # The executor launched a different type than the
                         # current plan (e.g. a crash-retry raced a
                         # revision): reconcile the model to reality.
@@ -640,12 +612,12 @@ class LiveWorkflow:
             self._status[module] = DONE
             self._actual_time[module] = duration
             if schedulable:
-                vm_type = self.problem.catalog[self._columns[row]]
+                vm_type = self.problem.catalog[self._state.columns[row]]
                 # Billed through the same policy arithmetic that built
                 # the CE matrix, so duration == planned te implies
                 # actual == planned bitwise (the zero-drift identity).
                 actual = self.problem.billing.charge(duration, vm_type.rate)
-                planned = float(self._current_ce[row])
+                planned = float(self._state.current_ce[row])
                 self._actual_cost[module] = (
                     self._actual_cost.get(module, 0.0) + actual
                 )
@@ -653,14 +625,15 @@ class LiveWorkflow:
                 self._planned_done_cost += planned
                 self.projected_cost += actual - planned
                 self._pending[row] = False
-            node = self._index.node_index[module]
-            self.projected_makespan = self._sweep.set_duration(node, duration)
+            sweep = self._state.sweep
+            node = sweep.index.node_index[module]
+            self.projected_makespan = sweep.set_duration(node, duration)
             return False
 
         # failed: bill the elapsed lease as sunk cost and put the module
         # back in the pending pool so the retry is re-plannable.
         assert event.kind == "failed" and event.elapsed is not None
-        vm_type = self.problem.catalog[self._columns[row]]
+        vm_type = self.problem.catalog[self._state.columns[row]]
         lost = self.problem.billing.charge(event.elapsed, vm_type.rate)
         self._actual_cost[module] = self._actual_cost.get(module, 0.0) + lost
         self.spend += lost
@@ -678,45 +651,25 @@ class LiveWorkflow:
         """Repair + upgrade the pending rows; returns steps applied."""
         steps = 0
         extra = self.budget - self.projected_cost
+        eps = _GreedyState.eps
+        scope_all = self.candidate_scope != "critical"
 
         # Repair: sunk failure bills (or a shrunk effective envelope)
         # pushed the projection over budget — shed cost from pending
-        # rows, least time damage first (max ΔT), biggest saving on
-        # ties (min ΔC).  `_pick_step` is exactly that lexicographic
-        # selector once validity is restricted to cost-decreasing moves.
-        while extra < -_EPS:
-            valid = self._pending[:, None] & (self._dc_all < -_EPS)
-            picked = _pick_step(
-                self._dt_all, self._dc_all, valid, self._num_types
-            )
-            if picked is None:
-                break
-            row, j, _dt, _dc = picked
-            self._reassign(row, j)
-            steps += 1
-            extra = self.budget - self.projected_cost
-        self.over_budget = bool(extra < -_EPS)
-
+        # rows with the state's repair pick (least time damage first).
         # Upgrade: Alg. 1 on the residual DAG under the remaining budget.
-        while extra > _EPS:
-            affordable = (self._dt_all > _EPS) & (self._dc_all <= extra + _EPS)
-            affordable &= self._pending[:, None]
-            if self.candidate_scope == "critical":
-                critical = self._sweep.critical_rows()
-                if not critical.any():
+        for repair in (True, False):
+            while extra < -eps if repair else extra > eps:
+                picked = self._state.pick(
+                    extra, scope_all=scope_all, pending=self._pending
+                )
+                if picked is None:
                     break
-                valid = affordable & critical[:, None]
-            else:
-                valid = affordable
-            picked = _pick_step(
-                self._dt_all, self._dc_all, valid, self._num_types
-            )
-            if picked is None:
-                break
-            row, j, _dt, _dc = picked
-            self._reassign(row, j)
-            steps += 1
-            extra = self.budget - self.projected_cost
+                self._reassign(picked[0], picked[1])
+                steps += 1
+                extra = self.budget - self.projected_cost
+            if repair:
+                self.over_budget = bool(extra < -eps)
         return steps
 
     # ------------------------------------------------------------------ #
@@ -740,7 +693,7 @@ class LiveWorkflow:
 
     def schedule(self) -> Schedule:
         """The full current plan (completed modules keep their types)."""
-        return Schedule._adopt(dict(zip(self._module_names, self._columns)))
+        return Schedule._adopt(dict(zip(self._module_names, self._state.columns)))
 
     def counts(self) -> dict[str, int]:
         pending = running = done = 0
@@ -815,9 +768,9 @@ class LiveWorkflow:
             entry: dict[str, Any] = {"status": self._status[name]}
             if mod.is_schedulable:
                 row = self._row_index[name]
-                entry["vm_type"] = catalog.names[self._columns[row]]
-                entry["planned_time"] = float(self._current_te[row])
-                entry["planned_cost"] = float(self._current_ce[row])
+                entry["vm_type"] = catalog.names[self._state.columns[row]]
+                entry["planned_time"] = float(self._state.current_te[row])
+                entry["planned_cost"] = float(self._state.current_ce[row])
             else:
                 entry["vm_type"] = None
                 entry["planned_time"] = float(mod.fixed_time or 0.0)

@@ -12,14 +12,13 @@ event protocol:
   registration is a 409.
 * **Append-before-apply, fsynced.**  With a ``live_dir`` configured,
   each accepted event is appended to ``<live_dir>/<id>.jsonl`` *after*
-  validation but *before* the state mutation, and (by default) forced
+  validation but *before* the state mutation, and forced
   to stable storage — directory entry included when the append creates
   the file — before the client is answered.  A node that dies between
   append and reply leaves a log the failover node replays to the exact
   same state (the state machine is deterministic), and the client's
   retried event is answered idempotently from the rebuilt history — no
-  lost or duplicated revisions.  ``fsync=False`` trades that guarantee
-  for latency and is documented as unsafe.
+  lost or duplicated revisions.
 * **Recovery is lazy and streams.**  An event or status request for an
   id this node has never seen falls back to the ``live_dir`` log, read
   one record at a time (recovery memory is O(record), not O(log)); a
@@ -153,10 +152,6 @@ class LiveWorkflowManager:
     io:
         Filesystem layer for every durable mutation; tests inject a
         :class:`~repro.live.iofault.FaultyLogIO` here.
-    fsync:
-        Force each append/compaction to stable storage before the
-        client is answered.  Turning this off is **unsafe**: an
-        acknowledged event can vanish on power loss.
     node:
         Name recorded in fence records (diagnostics only).
     peers:
@@ -175,7 +170,6 @@ class LiveWorkflowManager:
         *,
         live_dir: str | Path | None = None,
         io: LogIO | None = None,
-        fsync: bool = True,
         node: str | None = None,
         peers: Sequence[PeerLink] = (),
         checkpoint_interval: int = 0,
@@ -188,7 +182,6 @@ class LiveWorkflowManager:
         if self._live_dir is not None:
             self._live_dir.mkdir(parents=True, exist_ok=True)
         self._io = io if io is not None else LogIO()
-        self._fsync = bool(fsync)
         self._node = node
         self._peers: list[PeerLink] = list(peers)
         #: (peer index, workflow id) -> records confirmed replicated.
@@ -447,7 +440,6 @@ class LiveWorkflowManager:
             "complete": complete,
             "revisions": revisions,
             "peers": len(self._peers),
-            "fsync": self._fsync,
             "max_epoch": max_epoch,
             "last_checkpoint_seq": last_checkpoint_seq,
             "replication_lag": lag,
@@ -476,9 +468,7 @@ class LiveWorkflowManager:
         if path is None:
             return
         self._io.truncate_torn_tail(path)
-        size = self._io.append(
-            path, (line + "\n").encode("utf-8"), fsync=self._fsync
-        )
+        size = self._io.append(path, (line + "\n").encode("utf-8"))
         entry.lease.size = size
         entry.lease.records += 1
         if claim_epoch is not None:
@@ -562,8 +552,8 @@ class LiveWorkflowManager:
         data = (registration_line + "\n" + checkpoint_line + "\n").encode("utf-8")
         tmp = path.with_name(path.name + ".compact.tmp")
         try:
-            self._io.write_file(tmp, data, fsync=self._fsync)
-            self._io.replace(tmp, path, fsync=self._fsync)
+            self._io.write_file(tmp, data)
+            self._io.replace(tmp, path)
         except OSError:
             self._io.remove(tmp)
             self._append_line(workflow_id, entry, checkpoint_line)
@@ -618,9 +608,7 @@ class LiveWorkflowManager:
                     continue
                 archive_dir.mkdir(parents=True, exist_ok=True)
                 try:
-                    self._io.replace(
-                        path, archive_dir / path.name, fsync=self._fsync
-                    )
+                    self._io.replace(path, archive_dir / path.name)
                     # The expiry window starts at archive time, not at
                     # the log's last append (replace preserves mtime).
                     os.utime(archive_dir / path.name, (now, now))
@@ -768,8 +756,8 @@ class LiveWorkflowManager:
                 )
             with self._sync_lock:
                 tmp = path.with_name(path.name + ".sync.tmp")
-                io.write_file(tmp, data, fsync=self._fsync)
-                io.replace(tmp, path, fsync=self._fsync)
+                io.write_file(tmp, data)
+                io.replace(tmp, path)
                 with self._lock:
                     # The imported log is authoritative; a loaded copy
                     # rebuilds from it on its next access.
@@ -793,7 +781,7 @@ class LiveWorkflowManager:
                         workflow_id=workflow_id,
                     )
                 io.truncate_torn_tail(path)
-                io.append(path, data, fsync=self._fsync)
+                io.append(path, data)
                 with self._lock:
                     entry = self._workflows.get(workflow_id)
                     self._sync_imports += 1
@@ -829,16 +817,12 @@ class LiveWorkflowManager:
             try:
                 with self._sync_lock:
                     if quarantine and io.size(path) is not None:
-                        io.replace(
-                            path,
-                            path.with_name(path.name + ".quarantined"),
-                            fsync=self._fsync,
-                        )
+                        io.replace(path, path.with_name(path.name + ".quarantined"))
                         with self._lock:
                             self._quarantined += 1
                     tmp = path.with_name(path.name + ".pull.tmp")
-                    io.write_file(tmp, data, fsync=self._fsync)
-                    io.replace(tmp, path, fsync=self._fsync)
+                    io.write_file(tmp, data)
+                    io.replace(tmp, path)
             except OSError:
                 continue
             with self._lock:

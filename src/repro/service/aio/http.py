@@ -23,8 +23,8 @@ version of this rule for every handler in this package).
 
 :func:`serve_async` is the blocking entry point; it prints the same
 ``listening on http://host:port`` line as the threaded server so fleet
-tooling (the chaos harness, ``scripts/``) can scrape the bound port
-without caring which core answers.  :class:`BackgroundAsyncServer` runs
+tooling (the chaos harness, the end-to-end benchmark) can scrape the
+bound port without caring which core answers.  :class:`BackgroundAsyncServer` runs
 the whole stack on a daemon thread for tests and benchmarks.
 """
 
@@ -321,7 +321,6 @@ def serve_async(
     default_timeout: float | None = None,
     degrade_on_timeout: bool = False,
     live_dir: str | None = None,
-    live_fsync: bool = True,
     live_peers: Sequence[str] = (),
     live_checkpoint_interval: int = 0,
     live_retention: float | None = None,
@@ -344,7 +343,6 @@ def serve_async(
         cache_dir=cache_dir,
         degrade_on_timeout=degrade_on_timeout,
         live_dir=live_dir,
-        live_fsync=live_fsync,
         live_node=f"{host}:{port}",
         live_peers=[HttpPeer(url) for url in live_peers],
         live_checkpoint_interval=live_checkpoint_interval,
@@ -363,7 +361,6 @@ def serve_async(
             + (f", cache_dir={cache_dir}" if cache_dir else "")
             + (f", live_dir={live_dir}" if live_dir else "")
             + (f", live_peers={len(live_peers)}" if live_peers else "")
-            + ("" if live_fsync else ", live_fsync=off (UNSAFE)")
             + (", degrade_on_timeout" if degrade_on_timeout else "")
             + ", async"
             + ")",

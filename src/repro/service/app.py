@@ -275,11 +275,9 @@ class SchedulingService:
         (:class:`~repro.live.store.LiveWorkflowManager`).  Nodes sharing
         one ``live_dir`` can take over each other's running workflows on
         failover; ``None`` keeps live state in memory only.
-    live_fsync / live_node / live_peers / live_checkpoint_interval /
-    live_retention:
+    live_node / live_peers / live_checkpoint_interval / live_retention:
         Forwarded to the :class:`~repro.live.store.LiveWorkflowManager`
-        durability layer: per-append fsync (off is unsafe), the node
-        name stamped into fence records, replication links to sibling
+        durability layer: the node name stamped into fence records, replication links to sibling
         nodes, the checkpoint/compaction cadence, and the archive /
         expiry window for completed workflows.
     """
@@ -295,7 +293,6 @@ class SchedulingService:
         latency_window: int = 4096,
         degrade_on_timeout: bool = False,
         live_dir: str | None = None,
-        live_fsync: bool = True,
         live_node: str | None = None,
         live_peers: Sequence[PeerLink] = (),
         live_checkpoint_interval: int = 0,
@@ -304,7 +301,6 @@ class SchedulingService:
         self.cache = ResultCache(capacity=cache_size, cache_dir=cache_dir)
         self.live = LiveWorkflowManager(
             live_dir=live_dir,
-            fsync=live_fsync,
             node=live_node,
             peers=live_peers,
             checkpoint_interval=live_checkpoint_interval,

@@ -32,7 +32,7 @@ jobs, flush the disk cache) instead of dropping work on the floor.
 Client
 ------
 :class:`ServiceClient` wraps ``urllib.request`` for the ``repro submit``
-subcommand, the router, the CI smoke tests and scripts; HTTP error
+subcommand, the router, the smoke and chaos harnesses and live replay; HTTP error
 statuses are returned as their decoded error bodies rather than raised,
 so callers handle one shape.  Transport failures (connection refused or
 reset, truncated responses) raise
@@ -272,7 +272,6 @@ def serve(
     default_timeout: float | None = None,
     degrade_on_timeout: bool = False,
     live_dir: str | None = None,
-    live_fsync: bool = True,
     live_peers: Sequence[str] = (),
     live_checkpoint_interval: int = 0,
     live_retention: float | None = None,
@@ -286,8 +285,7 @@ def serve(
     flushed before the process exits.
 
     ``live_peers`` are sibling base URLs the live-workflow log replicates
-    to (and heals from); ``live_fsync=False`` trades the
-    acknowledged-event durability guarantee for latency and is unsafe.
+    to (and heals from).
     """
     service = SchedulingService(
         max_workers=max_workers,
@@ -297,7 +295,6 @@ def serve(
         default_timeout=default_timeout,
         degrade_on_timeout=degrade_on_timeout,
         live_dir=live_dir,
-        live_fsync=live_fsync,
         live_node=f"{host}:{port}",
         live_peers=[HttpPeer(url) for url in live_peers],
         live_checkpoint_interval=live_checkpoint_interval,
@@ -311,7 +308,6 @@ def serve(
         + (f", cache_dir={cache_dir}" if cache_dir else "")
         + (f", live_dir={live_dir}" if live_dir else "")
         + (f", live_peers={len(live_peers)}" if live_peers else "")
-        + ("" if live_fsync else ", live_fsync=off (UNSAFE)")
         + (", degrade_on_timeout" if degrade_on_timeout else "")
         + ")",
         flush=True,

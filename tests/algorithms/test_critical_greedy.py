@@ -327,6 +327,67 @@ class TestIncrementalEngineInternals:
             dt, dc, valid, cols
         )
 
+    @given(problem=medcc_problems(), data=st.data(), with_transfers=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_moves_leave_state_equal_to_fresh_build(
+        self, problem, data, with_transfers
+    ):
+        """After any moves (and pins) the step state is a fresh build, bitwise.
+
+        Grids, current te/ce rows and the sweep's est/lst/makespan must
+        equal a :class:`_GreedyState` built from scratch on the resulting
+        columns — the property checkpoint restore and the solver's warm
+        start both rely on.
+        """
+        import dataclasses
+
+        import numpy as np
+
+        from repro.algorithms.critical_greedy import _GreedyState
+        from repro.core.problem import TransferModel
+
+        if with_transfers:
+            problem = dataclasses.replace(
+                problem, transfers=TransferModel(bandwidth=2.0, latency=0.5)
+            )
+        matrices = problem.matrices
+        start = [int(j) for j in matrices.least_cost_choice()]
+        state = _GreedyState(problem, list(start))
+        moves = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, matrices.num_modules - 1),
+                    st.integers(0, matrices.num_types - 1),
+                ),
+                max_size=10,
+            )
+        )
+        for row, j in moves:
+            assert state.move(row, j) == state.sweep.makespan
+        names = state.sweep.index.names
+        pins = data.draw(
+            st.dictionaries(
+                st.sampled_from(names),
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                max_size=3,
+            )
+        )
+        for name, value in pins.items():
+            state.sweep.set_duration(state.sweep.index.node_index[name], value)
+
+        fresh = _GreedyState(problem, list(state.columns), pinned=pins)
+
+        def bits(values):
+            return np.asarray(values, dtype=float).tobytes()
+
+        for field in ("dt", "dc", "current_te", "current_ce"):
+            assert bits(getattr(state, field)) == bits(getattr(fresh, field)), field
+        for field in ("est", "lst", "est_array", "lst_array"):
+            assert bits(getattr(state.sweep, field)) == bits(
+                getattr(fresh.sweep, field)
+            ), field
+        assert bits([state.sweep.makespan]) == bits([fresh.sweep.makespan])
+
 
 def _warm_stream_cases():
     """(problem, scheduler) params for the warm-start identity tests."""

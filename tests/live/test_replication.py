@@ -283,8 +283,7 @@ class TestStatsSurface:
             "max_epoch",
             "last_checkpoint_seq",
             "peers",
-            "fsync",
         ):
             assert key in stats, key
-        assert stats["peers"] == 1 and stats["fsync"] is True
+        assert stats["peers"] == 1
         assert stats["max_epoch"] == 1

@@ -34,7 +34,7 @@ def planned_duration(live: LiveWorkflow, module: str) -> float:
     if not mod.is_schedulable:
         return float(mod.fixed_time or 0.0)
     row = live.problem.matrices.row_index[module]
-    return float(live._current_te[row])
+    return float(live._state.current_te[row])
 
 
 def first_schedulable(live: LiveWorkflow):
@@ -317,7 +317,7 @@ class TestReoptimization:
         live = make_live(example_problem, 57.0)
         first, seq = first_schedulable(live)
         row = live.problem.matrices.row_index[first]
-        current = live._columns[row]
+        current = live._state.columns[row]
         other = (current + 1) % len(live.problem.catalog.names)
         response = live.handle_event(
             {
@@ -329,7 +329,7 @@ class TestReoptimization:
         )
         assert live.reconciliations == 1
         assert response["revision"] >= 1
-        assert live._columns[row] == other
+        assert live._state.columns[row] == other
 
     def test_over_budget_flag_when_unrepairable(self, example_problem):
         live = make_live(example_problem, 48.0)
@@ -346,3 +346,35 @@ class TestReoptimization:
             {"seq": seq + 2, "type": "topup", "amount": live.projected_cost}
         )
         assert response["over_budget"] is False
+
+
+class TestStepState:
+    """The live replanner runs the solver's own step state."""
+
+    def test_registration_and_restore_each_run_one_full_sweep(self, example_problem):
+        live = make_live(example_problem, 57.0)
+        assert live._state.sweep.full_sweeps == 1
+        first, seq = first_schedulable(live)
+        live.handle_event({"seq": seq, "type": "started", "module": first})
+        live.handle_event(
+            {
+                "seq": seq + 1,
+                "type": "completed",
+                "module": first,
+                "duration": 1.5 * planned_duration(live, first),
+            }
+        )
+        snapshot = live.snapshot_state()
+
+        restored = make_live(example_problem, 57.0)
+        restored.load_state(snapshot)
+        assert restored._state.sweep.full_sweeps == 1
+        assert dumps(restored.snapshot_state()) == dumps(snapshot)
+
+    def test_restore_rejects_negative_realized_duration(self, example_problem):
+        live = make_live(example_problem, 57.0)
+        snapshot = live.snapshot_state()
+        name = live.problem.matrices.module_names[0]
+        snapshot["actual_time"] = {name: -1.0}
+        with pytest.raises(LiveWorkflowError, match="non-negative"):
+            make_live(example_problem, 57.0).load_state(snapshot)

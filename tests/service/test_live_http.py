@@ -346,7 +346,6 @@ class TestSync:
             "quarantined",
             "replication_lag",
             "peers",
-            "fsync",
         ):
             assert key in live, key
 

@@ -107,7 +107,8 @@ def _pick_step_scan(
 
     Walks the valid entries in row-major (module order, type order)
     sequence with the original eps-chained comparisons.  This is the
-    ground-truth selection; :func:`_pick_step` must match it bit for bit.
+    ground-truth selection; :func:`_pick_step_vectorized` must match it
+    bit for bit whenever it does not report a near tie.
     """
     flat_valid = np.nonzero(valid.ravel())[0]
     if flat_valid.size == 0:
@@ -133,33 +134,13 @@ def _pick_step_scan(
 _NEAR_TIE = object()
 
 
-def _pick_step(
-    dt_all: np.ndarray,
-    dc_all: np.ndarray,
-    valid: np.ndarray,
-    num_types: int,
-) -> tuple[int, int, float, float] | None:
-    """Vectorized eps-aware lexicographic argmax over valid entries.
-
-    Returns the same ``(row, type, dt, dc)`` the scalar scan
-    (:func:`_pick_step_scan`) selects, or ``None`` when no entry is
-    valid: :func:`_pick_step_vectorized`, falling back to the scan when
-    that reports a near tie — :meth:`_GreedyState.pick` without its
-    ``scanned`` flag.
-    """
-    picked = _pick_step_vectorized(dt_all, dc_all, valid, num_types)
-    if picked is _NEAR_TIE:
-        return _pick_step_scan(dt_all, dc_all, valid, num_types)
-    return picked
-
-
 def _pick_step_vectorized(
     dt_all: np.ndarray,
     dc_all: np.ndarray,
     valid: np.ndarray,
     num_types: int,
 ) -> tuple[int, int, float, float] | None | object:
-    """:func:`_pick_step`'s vectorized path, or :data:`_NEAR_TIE`.
+    """Vectorized eps-aware lexicographic argmax, or :data:`_NEAR_TIE`.
 
     Returns the scan's ``(row, type, dt, dc)`` selection (``None`` when
     no entry is valid) whenever it is provably order-independent.  The

@@ -44,7 +44,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.base import SchedulerResult
-from repro.algorithms.critical_greedy import _GreedyState
+from repro.algorithms.critical_greedy import CriticalGreedyScheduler, _GreedyState
 from repro.core.problem import MedCCProblem
 from repro.core.schedule import Schedule
 from repro.exceptions import EventConflictError, LiveWorkflowError
@@ -194,19 +194,11 @@ class LiveWorkflow:
         candidate_scope: str = "critical",
         transfer_aware: bool = True,
     ) -> None:
-        self.workflow_id = str(workflow_id)
-        self.problem = problem
+        self._bind(
+            workflow_id, problem, plan.algorithm, candidate_scope, transfer_aware
+        )
         self.budget = float(budget)
-        self.algorithm = plan.algorithm
-        self.candidate_scope = candidate_scope
-        self._transfer_aware = transfer_aware
-
         matrices = problem.matrices
-        self._num_types = matrices.num_types
-        self._module_names = matrices.module_names
-        self._row_index = matrices.row_index
-        workflow = problem.workflow
-        self._workflow = workflow
 
         # The current plan in the solver's own step state.
         self._state = _GreedyState(
@@ -227,7 +219,7 @@ class LiveWorkflow:
         )
 
         self._status: dict[str, str] = {
-            name: PENDING for name in workflow.module_names
+            name: PENDING for name in self._workflow.module_names
         }
         #: Schedulable rows still re-plannable (not started/completed).
         self._pending = np.ones(matrices.num_modules, dtype=bool)
@@ -244,6 +236,54 @@ class LiveWorkflow:
         #: seq -> (payload digest, response) for idempotent replays;
         #: bounded to the last ``_REPLAY_WINDOW`` sequence numbers.
         self._history: dict[int, tuple[str, dict[str, Any]]] = {}
+
+    @classmethod
+    def restore(
+        cls,
+        workflow_id: str,
+        problem: MedCCProblem,
+        state: Mapping[str, Any],
+        *,
+        candidate_scope: str = "critical",
+        transfer_aware: bool = True,
+    ) -> "LiveWorkflow":
+        """A workflow rebuilt from a :meth:`snapshot_state` snapshot.
+
+        The checkpoint path of recovery: no plan is solved, and the one
+        step state is the one :meth:`load_state` builds.  Raises
+        :class:`LiveWorkflowError` as :meth:`load_state` does.
+        """
+        workflow = cls.__new__(cls)
+        workflow._bind(
+            workflow_id,
+            problem,
+            CriticalGreedyScheduler.name,
+            candidate_scope,
+            transfer_aware,
+        )
+        workflow.load_state(state)
+        return workflow
+
+    def _bind(
+        self,
+        workflow_id: str,
+        problem: MedCCProblem,
+        algorithm: str,
+        candidate_scope: str,
+        transfer_aware: bool,
+    ) -> None:
+        """Bind the problem and the scheduler knobs (the half of
+        ``__init__`` that :meth:`restore` shares)."""
+        self.workflow_id = str(workflow_id)
+        self.problem = problem
+        self.algorithm = algorithm
+        self.candidate_scope = candidate_scope
+        self._transfer_aware = transfer_aware
+        matrices = problem.matrices
+        self._num_types = matrices.num_types
+        self._module_names = matrices.module_names
+        self._row_index = matrices.row_index
+        self._workflow = problem.workflow
 
     # ------------------------------------------------------------------ #
     # Event intake: prepare (validate, no mutation) / commit (mutate)
@@ -362,7 +402,7 @@ class LiveWorkflow:
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        """Overwrite this (freshly registered) instance from a snapshot.
+        """Overwrite this instance's state from a snapshot.
 
         Scalars are restored verbatim; every derived structure is
         rebuilt with the exact arithmetic the event path uses, and the
@@ -463,15 +503,36 @@ class LiveWorkflow:
                 )
             history[int(key)] = (entry[0], dict(entry[1]))
 
-        self.budget = _float("budget")
-        self.spend = _float("spend")
-        self._planned_done_cost = _float("planned_done_cost")
-        self.projected_cost = _float("projected_cost")
+        # Rebuild the step state exactly as the event path left it:
+        # planned te everywhere, overridden by realized durations for
+        # completed modules (the only ones the event path ever pins).
+        # Every field is read and checked before any is assigned, so a
+        # rejected snapshot leaves this instance as it was.
+        greedy = _GreedyState(
+            self.problem,
+            [int(j) for j in columns],
+            transfer_aware=self._transfer_aware,
+            pinned=realized["actual_time"],
+        )
+        makespan = greedy.sweep.makespan
+        stored = _float("projected_makespan")
+        if makespan != stored:  # lint: ignore[RA901] - bitwise snapshot integrity check
+            raise LiveWorkflowError(
+                f"checkpoint makespan {stored!r} does not match the value "
+                f"{makespan!r} recomputed from its assignments; the "
+                "snapshot does not describe this plan"
+            )
+        floats = [
+            _float(field)
+            for field in ("budget", "spend", "planned_done_cost", "projected_cost")
+        ]
+        ints = [
+            _int(field)
+            for field in ("failures", "reconciliations", "revision", "last_seq")
+        ]
+        self.budget, self.spend, self._planned_done_cost, self.projected_cost = floats
+        self.failures, self.reconciliations, self.revision, self.last_seq = ints
         self.over_budget = bool(state.get("over_budget"))
-        self.failures = _int("failures")
-        self.reconciliations = _int("reconciliations")
-        self.revision = _int("revision")
-        self.last_seq = _int("last_seq")
         self._status = {
             name: str(status[name]) for name in self._workflow.module_names
         }
@@ -483,24 +544,7 @@ class LiveWorkflow:
             dtype=bool,
             count=len(names),
         )
-
-        # Rebuild the step state exactly as the event path left it:
-        # planned te everywhere, overridden by realized durations for
-        # completed modules (the only ones the event path ever pins).
-        self._state = _GreedyState(
-            self.problem,
-            [int(j) for j in columns],
-            transfer_aware=self._transfer_aware,
-            pinned=self._actual_time,
-        )
-        makespan = self._state.sweep.makespan
-        stored = _float("projected_makespan")
-        if makespan != stored:  # lint: ignore[RA901] - bitwise snapshot integrity check
-            raise LiveWorkflowError(
-                f"checkpoint makespan {stored!r} does not match the value "
-                f"{makespan!r} recomputed from its assignments; the "
-                "snapshot does not describe this plan"
-            )
+        self._state = greedy
         self.projected_makespan = makespan
 
     # ------------------------------------------------------------------ #

@@ -19,14 +19,18 @@ event protocol:
   same state (the state machine is deterministic), and the client's
   retried event is answered idempotently from the rebuilt history — no
   lost or duplicated revisions.
-* **Recovery is lazy and streams.**  An event or status request for an
-  id this node has never seen falls back to the ``live_dir`` log, read
-  one record at a time (recovery memory is O(record), not O(log)); a
-  torn final line (crash mid-append) is dropped, matching the "applied
-  only if fully logged" reading of the protocol, and any single record
-  larger than the per-line bound is corruption, not an allocation.  The
-  active writer truncates a torn tail before its next append so an
-  acknowledged record can never fuse with a partial one.
+* **One replay reads the log.**  An event or status request for an id
+  this node has never seen rebuilds it from the ``live_dir`` log, and a
+  loaded node folds in records a failover peer appended; both run one
+  streaming replay under one rule set, one record at a time (memory is
+  O(record), not O(log)).  The first logged record of a seq wins on
+  every node that replays it: a record at or below the applied seq is
+  skipped.  A record the replay rejects is log damage (500), never a
+  client error.  A torn final line (crash mid-append) is dropped, matching the
+  "applied only if fully logged" reading of the protocol, and any
+  single record larger than the per-line bound is corruption, not an
+  allocation.  The active writer truncates a torn tail before its next
+  append so an acknowledged record can never fuse with a partial one.
 * **Epoch fencing** (:mod:`repro.live.fencing`) turns the single-active-
   writer assumption into an enforced invariant: every write re-checks
   the log (one ``stat`` on the fast path), a foreign fence with a higher
@@ -37,9 +41,10 @@ event protocol:
 * **Checkpoints + compaction** (:mod:`repro.live.checkpoint`): every
   ``checkpoint_interval`` events the full state is snapshotted and the
   log atomically rewritten (temp file + ``os.replace``) down to
-  ``registration + checkpoint``, so recovery replays from the snapshot
-  instead of event 0 and log size stays bounded.  Completed workflows
-  idle past the ``retention`` window are archived, then expired.
+  ``registration + checkpoint``, so recovery restores the snapshot
+  (solving no plan) instead of replaying from event 0, and log size
+  stays bounded.  Completed workflows idle past the ``retention``
+  window are archived, then expired.
 * **Peer replication**: accepted records are pushed write-through to
   sibling nodes (``POST /v1/workflows/<id>/sync``); a push failure or
   base mismatch falls back to a full resync on the next write.  On
@@ -134,7 +139,8 @@ class ParsedRegistration:
 class _Entry:
     workflow: LiveWorkflow
     registration_digest: str
-    registration_record: dict[str, Any] | None = None
+    #: The logged registration record, verbatim (compaction rewrites it).
+    registration_line: str
     lock: threading.RLock = field(default_factory=threading.RLock)
     lease: WriterLease = field(default_factory=WriterLease)
     checkpoint_seq: int = 0
@@ -288,8 +294,8 @@ class LiveWorkflowManager:
             return self._replay_registration(parsed, entry)
 
         workflow = self._build_workflow(parsed)
-        record = {"kind": "registration", "payload": parsed.raw}
-        new_entry = _Entry(workflow, parsed.digest, registration_record=record)
+        line = dumps({"kind": "registration", "payload": parsed.raw})
+        new_entry = _Entry(workflow, parsed.digest, line)
         # Publish, then log, holding the entry lock across both: racing
         # registrations converge on one surviving entry so only the race
         # winner appends the registration record, and an event for the
@@ -306,7 +312,6 @@ class LiveWorkflowManager:
                 # The registration record *is* the epoch-1 fence: the
                 # registering node holds the writer lease without an
                 # extra log line.
-                line = dumps(record)
                 self._append_line(
                     parsed.workflow_id, new_entry, line, claim_epoch=1
                 )
@@ -329,19 +334,26 @@ class LiveWorkflowManager:
         response["replayed"] = True
         return response
 
-    def _build_workflow(self, parsed: ParsedRegistration) -> LiveWorkflow:
+    def _build_workflow(
+        self, parsed: ParsedRegistration, state: Mapping[str, Any] | None = None
+    ) -> LiveWorkflow:
+        """Plan ``parsed``, or restore it from a checkpoint ``state``
+        without solving; the scheduler knobs are validated either way."""
         try:
             scheduler = CriticalGreedyScheduler(**parsed.params)
         except ConfigurationError as exc:
             raise LiveWorkflowError(f"invalid scheduler params: {exc}") from exc
+        knobs = {
+            "candidate_scope": scheduler.candidate_scope,
+            "transfer_aware": scheduler.transfer_aware,
+        }
+        if state is not None:
+            return LiveWorkflow.restore(
+                parsed.workflow_id, parsed.problem, state, **knobs
+            )
         plan = scheduler.solve(parsed.problem, parsed.budget)
         return LiveWorkflow(
-            parsed.workflow_id,
-            parsed.problem,
-            parsed.budget,
-            plan,
-            candidate_scope=scheduler.candidate_scope,
-            transfer_aware=scheduler.transfer_aware,
+            parsed.workflow_id, parsed.problem, parsed.budget, plan, **knobs
         )
 
     # ------------------------------------------------------------------ #
@@ -495,17 +507,14 @@ class LiveWorkflowManager:
 
         Fast path: one ``stat`` — an unchanged file size means no
         foreign bytes landed since our last append, so the lease stands.
-        A mismatch re-scans the log (folding in foreign records) and
-        compares epochs.  An unclaimed lease (recovered entry) claims
+        A mismatch catches up from the log (folding in foreign records)
+        and compares epochs.  An unclaimed lease (recovered entry) claims
         lazily here, on the first *write*; reads never claim.
         """
-        path = self._log_path(workflow_id)
-        if path is None:
+        if self._live_dir is None:
             return
+        self._catch_up(workflow_id, entry)
         lease = entry.lease
-        size = self._io.size(path)
-        if size is None or size != lease.size:
-            self._fold_log(workflow_id, entry)
         if lease.epoch == 0:
             self._claim(workflow_id, entry, lease.observed + 1)
         elif lease.observed > lease.epoch:
@@ -543,13 +552,12 @@ class LiveWorkflowManager:
         ):
             return False
         path = self._log_path(workflow_id)
-        if path is None or entry.registration_record is None:
+        if path is None:
             return False
         checkpoint_line = dumps(
             build_checkpoint(entry.workflow, epoch=max(entry.lease.epoch, 1))
         )
-        registration_line = dumps(entry.registration_record)
-        data = (registration_line + "\n" + checkpoint_line + "\n").encode("utf-8")
+        data = f"{entry.registration_line}\n{checkpoint_line}\n".encode("utf-8")
         tmp = path.with_name(path.name + ".compact.tmp")
         try:
             self._io.write_file(tmp, data)
@@ -856,10 +864,9 @@ class LiveWorkflowManager:
                 if not line:
                     return
                 if len(line) > MAX_RECORD_BYTES:
-                    raise LiveLogCorruptionError(
-                        f"live log for workflow {workflow_id!r} has a "
-                        f"record longer than {MAX_RECORD_BYTES} bytes",
-                        workflow_id=workflow_id,
+                    raise _corrupt(
+                        workflow_id,
+                        f"has a record longer than {MAX_RECORD_BYTES} bytes",
                     )
                 if not line.endswith(b"\n"):
                     # readline only returns an unterminated chunk at
@@ -873,11 +880,7 @@ class LiveWorkflowManager:
                 except (ServiceError, UnicodeDecodeError):
                     record = None
                 if not isinstance(record, Mapping):
-                    raise LiveLogCorruptionError(
-                        f"corrupt live log for workflow {workflow_id!r}: "
-                        "unparseable record",
-                        workflow_id=workflow_id,
-                    )
+                    raise _corrupt(workflow_id, "has an unparseable record")
                 yield record, stripped.decode("utf-8")
 
     def _count_records(self, path: Path) -> int:
@@ -910,82 +913,20 @@ class LiveWorkflowManager:
             raise UnknownWorkflowError(workflow_id)
         return entry
 
-    def _load_checkpoint(
-        self, workflow_id: str, workflow: LiveWorkflow, state: Mapping[str, Any]
-    ) -> None:
-        try:
-            workflow.load_state(state)
-        except LiveWorkflowError as exc:
-            raise LiveLogCorruptionError(
-                f"live log for workflow {workflow_id!r} has a checkpoint "
-                f"that does not restore: {exc}",
-                workflow_id=workflow_id,
-            ) from exc
-
-    def _fold_log(self, workflow_id: str, entry: _Entry) -> bool:
-        """Stream the log and fold in foreign records.
-
-        Applies events past the in-memory ``last_seq`` and checkpoints
-        ahead of it (a compaction may have dropped the events in
-        between), and refreshes the lease observation (size, record
-        count, max epoch).  Caller holds ``entry.lock``.  Returns
-        whether any state was newly applied.
-        """
-        path = self._log_path(workflow_id)
-        if path is None:
-            return False
-        size = self._io.size(path)
-        if size is None:
-            return False
-        lease = entry.lease
-        observed = 0
-        records = 0
-        applied = False
-        for record, _raw in self._iter_records(workflow_id, path):
-            records += 1
-            kind = record.get("kind")
-            if kind == "registration":
-                observed = max(observed, 1)
-                continue
-            epoch = record_epoch(record)
-            if epoch is not None:
-                observed = max(observed, epoch)
-            if kind == "checkpoint":
-                seq, state = verify_checkpoint(record, workflow_id=workflow_id)
-                if seq > entry.workflow.last_seq:
-                    self._load_checkpoint(workflow_id, entry.workflow, state)
-                    applied = True
-                entry.checkpoint_seq = max(entry.checkpoint_seq, seq)
-                continue
-            if kind != "event":
-                continue  # fences, duplicate registrations: no state
-            payload = record.get("payload")
-            seq = payload.get("seq") if isinstance(payload, Mapping) else None
-            if isinstance(seq, bool) or not isinstance(seq, int):
-                continue
-            if seq <= entry.workflow.last_seq:
-                continue
-            entry.workflow.handle_event(payload)
-            applied = True
-        lease.size = size
-        lease.records = records
-        lease.observed = max(lease.observed, observed)
-        if applied:
-            with self._lock:
-                self._resyncs += 1
-        return applied
-
     def _catch_up(self, workflow_id: str, entry: _Entry) -> bool:
-        """Fold in events a failover peer appended while this node's
+        """Fold in records a failover peer appended while this node's
         in-memory copy went stale.  Caller holds ``entry.lock``; returns
-        ``True`` if any logged record was newly applied."""
+        whether ``last_seq`` moved."""
         path = self._log_path(workflow_id)
-        if path is None:
-            return False
-        size = self._io.size(path)
-        if size is not None and size == entry.lease.size:
+        if path is None or self._io.size(path) == entry.lease.size:
             return False  # nothing new on disk
-        return self._fold_log(workflow_id, entry)
+        before = entry.workflow.last_seq
+        self._replay(workflow_id, entry)
+        if entry.workflow.last_seq == before:
+            return False
+        with self._lock:
+            self._resyncs += 1
+        return True
 
     def _recover(self, workflow_id: str) -> _Entry | None:
         """Rebuild a workflow from its event log (failover takeover).
@@ -996,124 +937,120 @@ class LiveWorkflowManager:
         corruption propagates as a 500-class error (readers must not
         mutate a shared ``live_dir``).
         """
-        if not isinstance(workflow_id, str) or not _ID_RE.match(workflow_id or ""):
-            return None
-        if self._live_dir is None:
+        if not isinstance(workflow_id, str) or not _ID_RE.match(workflow_id):
             return None
         try:
-            entry = self._recover_from_log(workflow_id)
+            entry = self._replay(workflow_id, None)
         except LiveLogCorruptionError:
             if not self._peers or not self._pull_from_peer(
                 workflow_id, quarantine=True
             ):
                 raise
-            entry = self._recover_from_log(workflow_id)
+            entry = self._replay(workflow_id, None)
         if entry is None and self._peers:
             if self._pull_from_peer(workflow_id, quarantine=False):
-                entry = self._recover_from_log(workflow_id)
+                entry = self._replay(workflow_id, None)
         return entry
 
-    def _recover_from_log(self, workflow_id: str) -> _Entry | None:
+    def _replay(self, workflow_id: str, entry: _Entry | None) -> _Entry | None:
+        """Stream the log into workflow state: the one reader of records.
+
+        ``entry=None`` recovers: the first registration record defines
+        the workflow, built at the first state-bearing record — from a
+        checkpoint's snapshot without solving (a compacted log), else
+        by planning the registration.  Given an ``entry`` (caller holds
+        its lock) the records fold into its workflow.  One rule set:
+        a later registration must match the first (line ``==``, else
+        digest); a fence or checkpoint needs a valid epoch; an unknown
+        kind, or a record before the registration, is corrupt; a record
+        at or below ``last_seq`` is skipped, so the first logged record
+        of a seq wins on every replaying node; an event the state machine rejects
+        or a checkpoint that does not restore is corrupt, not a client
+        error.  Refreshes the lease observation; returns the entry, or
+        ``None`` when recovery finds no log or only a torn first line.
+        """
         path = self._log_path(workflow_id)
-        assert path is not None
-        size = self._io.size(path)
-        if size is None:
-            return None
+        size = None if path is None else self._io.size(path)
+        if path is None or size is None:
+            return entry
         parsed: ParsedRegistration | None = None
-        workflow: LiveWorkflow | None = None
-        registration_record: dict[str, Any] | None = None
-        records = 0
-        observed = 0
-        checkpoint_seq = 0
-        for record, _raw in self._iter_records(workflow_id, path):
-            records += 1
-            kind = record.get("kind")
-            if kind == "registration":
-                observed = max(observed, 1)
-                if workflow is None:
-                    parsed = self._parse_logged_registration(
-                        workflow_id, record.get("payload")
-                    )
-                    if parsed.workflow_id != workflow_id:
-                        raise LiveLogCorruptionError(
-                            f"live log for workflow {workflow_id!r} registers "
-                            f"{parsed.workflow_id!r}",
-                            workflow_id=workflow_id,
+        workflow = None if entry is None else entry.workflow
+        known = None if entry is None else entry.registration_line
+        digest = "" if entry is None else entry.registration_digest
+        registered = False
+        records = observed = checkpoint_seq = 0
+        try:
+            for record, raw in self._iter_records(workflow_id, path):
+                records += 1
+                kind = record.get("kind")
+                if kind == "registration":
+                    observed = max(observed, 1)
+                    payload = record.get("payload")
+                    if known is None:
+                        parsed = self.parse_registration(payload)
+                        if parsed.workflow_id != workflow_id:
+                            raise _corrupt(
+                                workflow_id, f"registers {parsed.workflow_id!r}"
+                            )
+                        known, digest = raw, parsed.digest
+                    elif (
+                        raw != known
+                        and self.parse_registration(payload).digest != digest
+                    ):
+                        # Racing registrations through a shared live_dir
+                        # can each append an identical record; a
+                        # divergent one means the log serves two masters.
+                        raise _corrupt(
+                            workflow_id,
+                            "has a second registration record with a "
+                            "different problem/budget/params",
                         )
-                    workflow = self._build_workflow(parsed)
-                    registration_record = {
-                        "kind": "registration",
-                        "payload": parsed.raw,
-                    }
+                    registered = True
                     continue
-                # Two nodes racing the same registration through a shared
-                # live_dir during a failover window can both append the
-                # record.  An identical duplicate is benign; a divergent
-                # one means the log serves two masters.
-                duplicate = self._parse_logged_registration(
-                    workflow_id, record.get("payload")
-                )
-                if duplicate.digest != parsed.digest:
-                    raise LiveLogCorruptionError(
-                        f"live log for workflow {workflow_id!r} has a "
-                        "second registration record with a different "
-                        "problem/budget/params",
-                        workflow_id=workflow_id,
+                if not registered:
+                    raise _corrupt(workflow_id, "has no registration record")
+                if kind in ("fence", "checkpoint"):
+                    epoch = record_epoch(record)
+                    if epoch is None:
+                        raise _corrupt(
+                            workflow_id, f"has a {kind} record without a valid epoch"
+                        )
+                    observed = max(observed, epoch)
+                    if kind == "fence":
+                        continue
+                    seq, body = verify_checkpoint(record, workflow_id=workflow_id)
+                    checkpoint_seq = max(checkpoint_seq, seq)
+                elif kind == "event":
+                    body = record.get("payload")
+                    seq = body.get("seq") if isinstance(body, Mapping) else None
+                else:
+                    raise _corrupt(workflow_id, f"has an unexpected {kind!r} record")
+                if workflow is None:
+                    assert parsed is not None
+                    workflow = self._build_workflow(
+                        parsed, body if kind == "checkpoint" else None
                     )
-                continue
-            if workflow is None:
-                raise LiveLogCorruptionError(
-                    f"live log for workflow {workflow_id!r} has no "
-                    "registration record",
-                    workflow_id=workflow_id,
-                )
-            if kind == "fence":
-                epoch = record_epoch(record)
-                if epoch is None:
-                    raise LiveLogCorruptionError(
-                        f"live log for workflow {workflow_id!r} has a "
-                        "malformed fence record",
-                        workflow_id=workflow_id,
-                    )
-                observed = max(observed, epoch)
-                continue
-            if kind == "checkpoint":
-                epoch = record_epoch(record)
-                if epoch is None:
-                    raise LiveLogCorruptionError(
-                        f"live log for workflow {workflow_id!r} has a "
-                        "checkpoint without a valid epoch",
-                        workflow_id=workflow_id,
-                    )
-                observed = max(observed, epoch)
-                seq, state = verify_checkpoint(record, workflow_id=workflow_id)
-                if seq > workflow.last_seq:
-                    self._load_checkpoint(workflow_id, workflow, state)
-                checkpoint_seq = max(checkpoint_seq, seq)
-                continue
-            if kind != "event":
-                raise LiveLogCorruptionError(
-                    f"live log for workflow {workflow_id!r} has an "
-                    f"unexpected {kind!r} record",
-                    workflow_id=workflow_id,
-                )
-            try:
-                workflow.handle_event(record.get("payload"))
-            except LiveWorkflowError as exc:
-                # A logged event the deterministic state machine rejects
-                # is server-side history damage, not a client error.
-                raise LiveLogCorruptionError(
-                    f"live log for workflow {workflow_id!r} does not "
-                    f"replay: {exc}",
-                    workflow_id=workflow_id,
-                ) from exc
-        if workflow is None or parsed is None:
+                if type(seq) is int and 0 < seq <= workflow.last_seq:
+                    continue  # the first logged record of a seq wins
+                if kind == "checkpoint":
+                    workflow.load_state(body)
+                else:
+                    workflow.handle_event(body)
+            if workflow is None and parsed is not None:
+                workflow = self._build_workflow(parsed)
+        except LiveWorkflowError as exc:
+            raise _corrupt(workflow_id, f"does not replay: {exc}") from exc
+        if entry is not None:
+            lease = entry.lease
+            lease.size, lease.records = size, records
+            lease.observed = max(lease.observed, observed)
+            entry.checkpoint_seq = max(entry.checkpoint_seq, checkpoint_seq)
+            return entry
+        if workflow is None or known is None:
             # Only a torn first line: the registration was never
             # acknowledged, so the workflow does not exist yet.
             return None
-        new_entry = _Entry(
-            workflow, parsed.digest, registration_record=registration_record
-        )
+        new_entry = _Entry(workflow, digest, known)
         new_entry.lease = WriterLease(
             epoch=0, observed=observed, size=size, records=records
         )
@@ -1124,14 +1061,9 @@ class LiveWorkflowManager:
                 self._recovered += 1
         return entry
 
-    def _parse_logged_registration(
-        self, workflow_id: str, payload: object
-    ) -> ParsedRegistration:
-        try:
-            return self.parse_registration(payload)
-        except LiveWorkflowError as exc:
-            raise LiveLogCorruptionError(
-                f"live log for workflow {workflow_id!r} has an "
-                f"unparseable registration record: {exc}",
-                workflow_id=workflow_id,
-            ) from exc
+
+def _corrupt(workflow_id: str, problem: str) -> LiveLogCorruptionError:
+    """The 500-class error for damage in ``workflow_id``'s live log."""
+    return LiveLogCorruptionError(
+        f"live log for workflow {workflow_id!r} {problem}", workflow_id=workflow_id
+    )

@@ -47,6 +47,9 @@ from repro.service.aio.coalesce import SingleFlight
 
 __all__ = ["AsyncServiceCore"]
 
+#: Sampling period of the loop-lag monitor, seconds.
+LAG_INTERVAL = 0.25
+
 
 class AsyncServiceCore:
     """Event-loop front half of a :class:`SchedulingService`.
@@ -61,8 +64,6 @@ class AsyncServiceCore:
         Per-waiter timeout applied when a request carries none.  A waiter
         timing out never cancels the underlying solve while other waiters
         remain; the solve still completes and populates the cache.
-    lag_interval:
-        Sampling period of the loop-lag monitor, seconds.
     """
 
     def __init__(
@@ -70,7 +71,6 @@ class AsyncServiceCore:
         service: SchedulingService,
         *,
         default_timeout: float | None = None,
-        lag_interval: float = 0.25,
     ) -> None:
         if default_timeout is not None and default_timeout <= 0:
             raise ServiceError(
@@ -82,7 +82,6 @@ class AsyncServiceCore:
         #: Waiters that hit their per-request timeout while the solve
         #: kept running for the remaining waiters.
         self.waiter_timeouts = 0
-        self._lag_interval = max(0.01, float(lag_interval))
         self._lag_samples: deque[float] = deque(maxlen=512)
         self._lag_task: "asyncio.Task[None] | None" = None
 
@@ -119,8 +118,8 @@ class AsyncServiceCore:
         loop = asyncio.get_running_loop()
         while True:
             before = loop.time()
-            await asyncio.sleep(self._lag_interval)
-            lag = loop.time() - before - self._lag_interval
+            await asyncio.sleep(LAG_INTERVAL)
+            lag = loop.time() - before - LAG_INTERVAL
             self._lag_samples.append(max(0.0, lag))
 
     # ------------------------------------------------------------------ #

@@ -80,6 +80,9 @@ DEFAULT_ALGORITHM = "critical-greedy"
 #: A paper-scale problem retains about 1 MiB once decoded.
 PROBLEM_MEMO_SIZE = 32
 
+#: Recent end-to-end request latencies kept for the p50/p95 in ``stats``.
+LATENCY_WINDOW = 4096
+
 
 @dataclasses.dataclass
 class ParsedRequest:
@@ -260,9 +263,6 @@ class SchedulingService:
     cache_size / cache_dir:
         Forwarded to the :class:`~repro.service.cache.ResultCache`;
         ``cache_dir`` enables the persistent disk tier.
-    latency_window:
-        How many recent end-to-end request latencies to keep for the
-        p50/p95 figures in :meth:`stats`.
     degrade_on_timeout:
         When ``True``, a solve that exceeds its per-job deadline answers
         with the least-cost schedule marked ``degraded: true`` (graceful
@@ -290,7 +290,6 @@ class SchedulingService:
         cache_size: int = 1024,
         cache_dir: str | None = None,
         default_timeout: float | None = None,
-        latency_window: int = 4096,
         degrade_on_timeout: bool = False,
         live_dir: str | None = None,
         live_node: str | None = None,
@@ -316,7 +315,7 @@ class SchedulingService:
         self.degrade_on_timeout = bool(degrade_on_timeout)
         self._started_at = time.time()
         self._lock = threading.Lock()
-        self._request_latencies: deque[float] = deque(maxlen=latency_window)
+        self._request_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._requests = 0
         self._degraded = 0
         self._draining = False

@@ -55,6 +55,9 @@ from repro.exceptions import (
 
 __all__ = ["JobRecord", "JobExecutor", "percentile"]
 
+#: How many most-recent job records a pool retains for stats.
+RECORD_LIMIT = 1024
+
 
 def percentile(samples: Sequence[float], q: float) -> float | None:
     """Nearest-rank percentile of a sample list (``None`` when empty)."""
@@ -156,8 +159,6 @@ class JobExecutor:
     annotate:
         Optional hook mapping a successful result to extra
         :class:`JobRecord` fields (``engine``, ``cache_hit``).
-    record_limit:
-        How many most-recent job records to retain for stats.
     """
 
     def __init__(
@@ -168,7 +169,6 @@ class JobExecutor:
         queue_size: int = 64,
         default_timeout: float | None = None,
         annotate: Callable[[Any], Mapping[str, Any]] | None = None,
-        record_limit: int = 1024,
     ) -> None:
         if max_workers <= 0:
             raise ServiceError(f"max_workers must be positive, got {max_workers}")
@@ -183,7 +183,7 @@ class JobExecutor:
         self._queue_size = int(queue_size)
         self._default_timeout = default_timeout
         self._lock = threading.Lock()
-        self._records: deque[JobRecord] = deque(maxlen=record_limit)
+        self._records: deque[JobRecord] = deque(maxlen=RECORD_LIMIT)
         self._counts = dict.fromkeys(
             ("submitted", "done", "failed", "timeout", "rejected", "cancelled"), 0
         )

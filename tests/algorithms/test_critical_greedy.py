@@ -291,7 +291,7 @@ class TestIncrementalEngineInternals:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_pick_step_matches_scalar_scan(self, data):
-        """The vectorized argmax must equal the scalar scan, always.
+        """The vectorized argmax equals the scalar scan or reports a near tie.
 
         Values are drawn from a tiny grid spaced well below ``_EPS``
         apart, which makes near-ties (the C1/C2 guard conditions) the
@@ -302,8 +302,9 @@ class TestIncrementalEngineInternals:
 
         from repro.algorithms.critical_greedy import (
             _EPS,
-            _pick_step,
+            _NEAR_TIE,
             _pick_step_scan,
+            _pick_step_vectorized,
         )
 
         rows = data.draw(st.integers(min_value=1, max_value=4))
@@ -323,7 +324,8 @@ class TestIncrementalEngineInternals:
                 st.lists(st.booleans(), min_size=cells, max_size=cells)
             )
         ).reshape(rows, cols)
-        assert _pick_step(dt, dc, valid, cols) == _pick_step_scan(
+        picked = _pick_step_vectorized(dt, dc, valid, cols)
+        assert picked is _NEAR_TIE or picked == _pick_step_scan(
             dt, dc, valid, cols
         )
 

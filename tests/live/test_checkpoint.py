@@ -6,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.critical_greedy import CriticalGreedyScheduler
+from repro.core.fastpath import IncrementalSweep
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import LiveLogCorruptionError
 from repro.live.checkpoint import build_checkpoint, verify_checkpoint
 from repro.live.iofault import FaultyLogIO
 from repro.live.store import LiveWorkflowManager
-from repro.service.codec import dumps, loads
+from repro.service.codec import dumps, event_digest, loads
 
 from tests.conftest import problems_with_budgets
-
-
-@pytest.fixture
-def registration(example_problem):
-    return {"problem": problem_to_dict(example_problem), "budget": 57.0}
 
 
 def _drive(manager, registration, events):
@@ -103,6 +100,40 @@ class TestCompaction:
         recovered = LiveWorkflowManager(live_dir=tmp_path / "ck")
         assert dumps(recovered.status(wid)) == expected
 
+    def test_compacted_log_restores_without_solving(
+        self, registration, tmp_path, monkeypatch
+    ):
+        """Recovering registration + checkpoint restores the snapshot:
+        no Critical-Greedy solve, and the one step state's one sweep."""
+        manager = LiveWorkflowManager(live_dir=tmp_path, checkpoint_interval=3)
+        wid = _drive(manager, registration, _topups(3))
+        kinds = [
+            loads(line)["kind"]
+            for line in (tmp_path / f"{wid}.jsonl").read_text().splitlines()
+        ]
+        assert kinds == ["registration", "checkpoint"]
+        expected = dumps(manager.status(wid))
+
+        solves: list[float] = []
+        sweeps: list[int] = []
+        solve = CriticalGreedyScheduler.solve
+        resweep = IncrementalSweep._full_resweep
+
+        def counting_solve(self, problem, budget):
+            solves.append(budget)
+            return solve(self, problem, budget)
+
+        def counting_resweep(self):
+            sweeps.append(1)
+            resweep(self)
+
+        monkeypatch.setattr(CriticalGreedyScheduler, "solve", counting_solve)
+        monkeypatch.setattr(IncrementalSweep, "_full_resweep", counting_resweep)
+        recovered = LiveWorkflowManager(live_dir=tmp_path)
+        status = dumps(recovered.status(wid))
+        assert solves == [] and len(sweeps) == 1
+        assert status == expected
+
     def test_compaction_preserves_epoch_high_water_mark(
         self, registration, tmp_path
     ):
@@ -156,6 +187,28 @@ class TestCompaction:
         record = loads(ckpt_line)
         record["state"]["budget"] = 99999.0  # bit rot
         path.write_text(reg_line + "\n" + dumps(record) + "\n")
+        with pytest.raises(LiveLogCorruptionError):
+            LiveWorkflowManager(live_dir=tmp_path).status(wid)
+
+    def test_rejected_checkpoint_keeps_failing_on_a_loaded_node(
+        self, registration, tmp_path
+    ):
+        """A checkpoint that does not restore is corruption on every read
+        of a loaded node, not only the first: the rejected snapshot must
+        not advance the node's state past it."""
+        manager = LiveWorkflowManager(live_dir=tmp_path)
+        wid = _drive(manager, registration, _topups(1))
+        record = build_checkpoint(manager._find_entry(wid).workflow, epoch=1)
+        state = record["state"]
+        state["last_seq"] = record["seq"] = 2
+        state["projected_makespan"] += 1.0  # no longer this plan's makespan
+        record["digest"] = event_digest(state)
+        with open(tmp_path / f"{wid}.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(dumps(record) + "\n")
+
+        for _ in range(2):
+            with pytest.raises(LiveLogCorruptionError):
+                manager.status(wid)
         with pytest.raises(LiveLogCorruptionError):
             LiveWorkflowManager(live_dir=tmp_path).status(wid)
 

@@ -4,16 +4,10 @@ import threading
 
 import pytest
 
-from repro.core.serialize import problem_to_dict
 from repro.exceptions import StaleEpochError
 from repro.live.fencing import WriterLease, fence_record, record_epoch
 from repro.live.store import LiveWorkflowManager
 from repro.service.codec import dumps
-
-
-@pytest.fixture
-def registration(example_problem):
-    return {"problem": problem_to_dict(example_problem), "budget": 57.0}
 
 
 class TestRecords:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.serialize import problem_to_dict
 from repro.exceptions import (
     EventConflictError,
     LiveLogCorruptionError,
@@ -38,11 +37,6 @@ class InProcessPeer:
             else {"base_records": base_records, "records": records}
         )
         return self.manager.sync_import(workflow_id, payload)["records"]
-
-
-@pytest.fixture
-def registration(example_problem):
-    return {"problem": problem_to_dict(example_problem), "budget": 57.0}
 
 
 @pytest.fixture

@@ -4,20 +4,15 @@ import threading
 
 import pytest
 
-from repro.core.serialize import problem_to_dict
 from repro.exceptions import (
     EventConflictError,
     LiveLogCorruptionError,
     LiveWorkflowError,
     UnknownWorkflowError,
 )
+from repro.live.fencing import fence_record
 from repro.live.store import LiveWorkflowManager
 from repro.service.codec import dumps
-
-
-@pytest.fixture
-def registration(example_problem):
-    return {"problem": problem_to_dict(example_problem), "budget": 57.0}
 
 
 class TestRegistration:
@@ -262,6 +257,53 @@ class TestDurability:
         # A true gap is still a conflict, even after a catch-up attempt.
         with pytest.raises(EventConflictError):
             node_a.event(wid, {"seq": 9, "type": "topup", "amount": 1.0})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"seq": 3, "type": "topup", "amount": 1.0},  # a seq gap: 409
+            {"seq": 2, "type": "completed", "module": "nope", "duration": 1.0},
+        ],
+    )
+    def test_rejected_record_under_a_loaded_node_is_corruption(
+        self, registration, tmp_path, payload
+    ):
+        """A logged event the state machine rejects is log damage on a
+        loaded node exactly as on a fresh one: 500-class from event()
+        and status(), never a 409/400 blamed on the client."""
+        manager = LiveWorkflowManager(live_dir=tmp_path)
+        wid = manager.register(dict(registration))["workflow_id"]
+        manager.event(wid, {"seq": 1, "type": "topup", "amount": 1.0})
+        with open(tmp_path / f"{wid}.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(dumps({"kind": "event", "payload": payload}) + "\n")
+
+        with pytest.raises(LiveLogCorruptionError):
+            manager.event(wid, {"seq": 2, "type": "topup", "amount": 1.0})
+        with pytest.raises(LiveLogCorruptionError):
+            manager.status(wid)
+        with pytest.raises(LiveLogCorruptionError):
+            LiveWorkflowManager(live_dir=tmp_path).status(wid)
+
+    def test_duplicate_seq_first_logged_record_wins(self, registration, tmp_path):
+        """A fenced writer racing its fence can append a second record
+        for a seq; the first logged one wins on loaded and fresh nodes."""
+        manager = LiveWorkflowManager(live_dir=tmp_path)
+        wid = manager.register(dict(registration))["workflow_id"]
+        manager.event(wid, {"seq": 1, "type": "topup", "amount": 1.0})
+        lines = [
+            fence_record(2, "b"),
+            {"kind": "event", "payload": {"seq": 2, "type": "topup", "amount": 2.0}},
+            # The stale writer's append that landed after the fence.
+            {"kind": "event", "payload": {"seq": 2, "type": "topup", "amount": 7.0}},
+        ]
+        with open(tmp_path / f"{wid}.jsonl", "a", encoding="utf-8") as handle:
+            handle.writelines(dumps(line) + "\n" for line in lines)
+
+        loaded = manager.status(wid)
+        fresh = LiveWorkflowManager(live_dir=tmp_path).status(wid)
+        assert dumps(loaded) == dumps(fresh)
+        assert fresh["last_seq"] == 2
+        assert fresh["total_budget"] == 57.0 + 1.0 + 2.0
 
     def test_no_live_dir_means_no_recovery(self, registration):
         manager = LiveWorkflowManager()

@@ -70,22 +70,27 @@ class LogIO:
         return open(path, "rb")
 
     def append(self, path: Path, data: bytes, *, fsync: bool = True) -> int:
-        """Append ``data`` (complete ``\\n``-terminated lines); new size.
+        """Append ``data`` (complete ``\\n``-terminated lines).
 
-        When ``fsync`` is set the record is forced to stable storage
-        before returning — and when the append *creates* the file, the
-        parent directory entry is synced too, so the file itself
-        survives a crash right after the first event.
+        Returns the offset just past ``data`` as the append handle saw it,
+        so ``offset - len(data)`` is where the record started even if
+        another writer's bytes landed before it or after it (a later
+        ``stat`` would count those too).  When ``fsync`` is set the
+        record is forced to stable storage before returning — and when
+        the append *creates* the file, the parent directory entry is
+        synced too, so the file itself survives a crash right after the
+        first event.
         """
         existed = path.exists()
         with open(path, "ab") as handle:
             handle.write(data)
+            handle.flush()
             if fsync:
-                handle.flush()
                 os.fsync(handle.fileno())
+            end = handle.tell()
         if fsync and not existed:
             self.fsync_dir(path.parent)
-        return os.stat(path).st_size
+        return end
 
     def write_file(self, path: Path, data: bytes, *, fsync: bool = True) -> None:
         """Write a whole file (used for compaction/pull staging files)."""
@@ -120,29 +125,30 @@ class LogIO:
         finally:
             os.close(fd)
 
-    def truncate_torn_tail(self, path: Path) -> None:
+    def truncate_torn_tail(self, path: Path) -> int:
         """Drop a torn final line (crash mid-append) before the next append.
 
         A record counts as applied only once fully logged, so a partial
         tail was never acknowledged and is safe to discard — but it must
         go *before* new records land, or the append fuses with it into
         one unparseable merged line.  Only the active writer calls this;
-        readers never mutate the log.
+        readers never mutate the log.  Returns the bytes dropped.
         """
         try:
             with open(path, "rb+") as handle:
                 handle.seek(0, os.SEEK_END)
                 size = handle.tell()
                 if size == 0:
-                    return
+                    return 0
                 handle.seek(size - 1)
                 if handle.read(1) == b"\n":
-                    return
+                    return 0
                 handle.seek(0)
-                data = handle.read()
-                handle.truncate(data.rfind(b"\n") + 1)
+                kept = handle.read().rfind(b"\n") + 1
+                handle.truncate(kept)
+                return size - kept
         except FileNotFoundError:
-            return
+            return 0
 
 
 class FaultyLogIO(LogIO):
@@ -238,10 +244,11 @@ class FaultyLogIO(LogIO):
                     rng, self.fsync_error_prob, "injected_fsync_errors", "fsync"
                 )
                 os.fsync(handle.fileno())
+            end = handle.tell()
         if fsync and not existed:
             self.fsync_dir(path.parent)
         self._boundary(f"append:{path.name}:post")
-        return os.stat(path).st_size
+        return end
 
     def write_file(self, path: Path, data: bytes, *, fsync: bool = True) -> None:
         self._draw()
@@ -277,8 +284,8 @@ class FaultyLogIO(LogIO):
             self.fsync_dir(dst.parent)
         self._boundary(f"replace:{dst.name}:post")
 
-    def truncate_torn_tail(self, path: Path) -> None:
+    def truncate_torn_tail(self, path: Path) -> int:
         # Truncation only ever removes unacknowledged bytes, so a crash
         # before/after is indistinguishable from crashing around the
         # following append's pre-boundary; no extra ladder needed.
-        super().truncate_torn_tail(path)
+        return super().truncate_torn_tail(path)

@@ -386,7 +386,22 @@ class LiveWorkflowManager:
                 return prepared
             event, digest = prepared
             line = dumps({"kind": "event", "payload": payload})
-            self._append_line(workflow_id, entry, line)
+            if not self._append_line(workflow_id, entry, line):
+                # A peer's records landed between the lease check and
+                # our append, and the log is now folded in: the first
+                # logged record of this seq decided it.  Ours matches it
+                # (a replay) or lost to a different payload (409).
+                replayed = entry.workflow.prepare(payload)
+                if not isinstance(replayed, dict):
+                    raise EventConflictError(
+                        f"seq {event.seq} of workflow {workflow_id!r} raced "
+                        "another writer's append",
+                        workflow_id=workflow_id,
+                        seq=event.seq,
+                    )
+                with self._lock:
+                    self._replays += 1
+                return replayed
             response = entry.workflow.commit(event, digest)
             if self._live_dir is not None:
                 entry.events_since_checkpoint += 1
@@ -474,18 +489,32 @@ class LiveWorkflowManager:
         line: str,
         *,
         claim_epoch: int | None = None,
-    ) -> None:
-        """Append one durable record; updates the lease observation."""
+    ) -> bool:
+        """Append one durable record; updates the lease observation.
+
+        Returns whether the record started at the lease's offset, i.e.
+        no foreign bytes landed between the lease check and this append
+        (an unknown lease expects nothing).  When some did, this node's
+        record is not where it assumed — a peer's record of the same seq
+        may precede it — so the log is folded in before returning
+        ``False``, and the caller answers from the converged state.
+        """
         path = self._log_path(workflow_id)
         if path is None:
-            return
-        self._io.truncate_torn_tail(path)
-        size = self._io.append(path, (line + "\n").encode("utf-8"))
-        entry.lease.size = size
-        entry.lease.records += 1
+            return True
+        lease = entry.lease
+        data = (line + "\n").encode("utf-8")
+        expected = lease.size - self._io.truncate_torn_tail(path)
+        end = self._io.append(path, data)
+        landed = lease.size < 0 or end - len(data) == expected
+        lease.size = end if landed else -1
+        lease.records += 1
         if claim_epoch is not None:
-            entry.lease.epoch = claim_epoch
-            entry.lease.observed = max(entry.lease.observed, claim_epoch)
+            lease.epoch = claim_epoch
+            lease.observed = max(lease.observed, claim_epoch)
+        if not landed:
+            self._catch_up(workflow_id, entry)
+        return landed
 
     def _ensure_writer(self, workflow_id: str, entry: _Entry) -> None:
         """Enforce the single-writer invariant before a write.

@@ -13,8 +13,11 @@ Four layers, bottom-up (see ``docs/service.md``):
   tier) and the bounded worker pool with backpressure, per-job timeouts
   and structured job records;
 * :mod:`repro.service.app` + :mod:`repro.service.http` — the
-  transport-agnostic :class:`SchedulingService` and its stdlib HTTP
-  front-end (``repro serve`` / ``repro submit``);
+  transport-agnostic :class:`SchedulingService` (one request type,
+  :class:`KeyedRequest`, decoded on its executor worker) and its stdlib
+  HTTP front-end (``repro serve`` / ``repro submit``); the asyncio front
+  end (:mod:`repro.service.aio`, ``repro serve --async``) awaits the
+  same service;
 * :mod:`repro.service.resilience` + :mod:`repro.service.router` — the
   fabric layer: retry policies with backoff and jitter, per-node circuit
   breakers, and the ``problem_hash``-sharded router with failover and
@@ -43,7 +46,7 @@ from repro.exceptions import (
     ServiceTimeoutError,
     TransientServiceError,
 )
-from repro.service.app import ParsedRequest, SchedulingService, error_payload
+from repro.service.app import KeyedRequest, SchedulingService, error_payload
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.chaos import ChaosConfig, ChaosProxy
 from repro.service.codec import (
@@ -86,8 +89,8 @@ __all__ = [
     "CircuitOpenError",
     "JobExecutor",
     "JobRecord",
+    "KeyedRequest",
     "NodeHandle",
-    "ParsedRequest",
     "RequestKey",
     "ResultCache",
     "RetryPolicy",

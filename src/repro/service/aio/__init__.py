@@ -1,11 +1,14 @@
 """Asyncio service core: an event loop in front of the service's executor.
 
 The threaded front-end (:mod:`repro.service.http`) spends one thread per
-request and one solver run per request.  At duplicate-heavy,
-millions-of-users traffic that wastes a property the service already
-has: results are content-addressed, so identical concurrent requests
-can share one solve.  This package is the event-loop core that exploits
-it:
+request and one solver run per ``/v1/solve`` request.  At
+duplicate-heavy traffic that wastes a property the service already has:
+results are content-addressed, so identical concurrent requests can
+share one solve.  This package is the event-loop core that exploits it.
+Everything else is the service's own: ``/v1/solve_batch`` runs through
+:meth:`~repro.service.app.SchedulingService.plan_batch`, the planner the
+threaded endpoint uses, so the two front ends differ only in how they
+wait (one blocks, the other awaits).
 
 * :mod:`~repro.service.aio.coalesce` — **single-flight dedupe**: N
   concurrent requests for one :class:`~repro.service.keys.RequestKey`
@@ -15,7 +18,8 @@ it:
   front of the service's own
   :class:`~repro.service.executor.JobExecutor` (each flight is one job
   there, with the same backpressure and job records as the threaded
-  front end), plus loop-lag monitoring;
+  front end), awaiting the shared batch planner's slots, plus loop-lag
+  monitoring;
 * :mod:`~repro.service.aio.http` — the asyncio HTTP front-end behind
   ``repro serve --async`` (same routes, same status mapping, batch
   responses streamed item-by-item).

@@ -2,14 +2,14 @@
 
 :class:`AsyncServiceCore` wraps the transport-agnostic
 :class:`~repro.service.app.SchedulingService` with an event-loop request
-path.  One request flows::
+path.  One ``/v1/solve`` request flows::
 
     parse_head ──► cache probe ──► single-flight ──► service.executor
       (hash only)   (both tiers)     (per RequestKey)   (one job per flight)
 
 * ``parse_head`` validates and hashes on the loop **without decoding**
   the problem payload; coalesced duplicates therefore pay one decode
-  (the flight leader's) instead of N.
+  (the flight leader's job's) instead of N.
 * Hash and decode go through the service's exact-payload problem memo,
   so a budget sweep over one workflow hashes and decodes its DAG once,
   and each miss's solve can replay a prefix of the Critical-Greedy trace
@@ -22,13 +22,18 @@ path.  One request flows::
   :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503); a flight
   abandoned by its last waiter cancels its job, which the executor skips
   if it is still queued and counts ``cancelled``.
+* ``/v1/solve_batch`` goes through the service's own planner,
+  :meth:`~repro.service.app.SchedulingService.plan_batch` — the one the
+  threaded endpoint blocks on — and awaits its slots in input order, so
+  dedupe and budget-axis grouping are the same on both front ends.
+  Batch items do not join ``/v1/solve`` flights.
 * A loop-lag monitor samples event-loop scheduling delay so ``/v1/stats``
   can report ``loop_lag_p95`` — the canary for accidentally blocking the
   loop (see the RT703 lint rule for the static version of that check).
 
 Responses are byte-identical to the threaded core's: cache fragments are
-produced by the same ``solve`` code.  Response dicts may be shared
-between coalesced waiters — treat them as immutable.
+produced by the same job code.  Response dicts may be shared between
+coalesced waiters — treat them as immutable.
 """
 
 from __future__ import annotations
@@ -40,9 +45,8 @@ from collections.abc import AsyncIterator, Mapping
 from typing import Any
 
 from repro.exceptions import ServiceError, ServiceTimeoutError
-from repro.service.app import KeyedRequest, SchedulingService, error_payload
+from repro.service.app import BatchSlot, KeyedRequest, SchedulingService, error_payload
 from repro.service.executor import percentile
-from repro.service.keys import RequestKey
 from repro.service.aio.coalesce import SingleFlight
 
 __all__ = ["AsyncServiceCore"]
@@ -61,9 +65,10 @@ class AsyncServiceCore:
         the executor every miss is solved on (its ``max_workers`` and
         ``queue_size`` bound the async front end too).
     default_timeout:
-        Per-waiter timeout applied when a request carries none.  A waiter
-        timing out never cancels the underlying solve while other waiters
-        remain; the solve still completes and populates the cache.
+        Timeout applied when a request carries none: per waiter on
+        ``/v1/solve`` (a waiter timing out never cancels the underlying
+        solve while other waiters remain; the solve still completes and
+        populates the cache), per job on ``/v1/solve_batch``.
     """
 
     def __init__(
@@ -127,37 +132,34 @@ class AsyncServiceCore:
     # ------------------------------------------------------------------ #
 
     async def solve(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """One ``/v1/solve`` request: parse, coalesce, solve."""
+        """One ``/v1/solve`` request: parse, probe, coalesce, solve."""
         started = time.monotonic()
         try:
             keyed = self.service.parse_head(payload)
-            return await self._solve_keyed(keyed)
+            self.service._reject_if_draining()
+            hit = self.service.lookup(keyed)
+            if hit is not None:
+                return hit
+            timeout = keyed.timeout if keyed.timeout is not None else self._default_timeout
+            if timeout is not None and timeout <= 0:
+                raise ServiceError(f"timeout must be positive, got {timeout}")
+            try:
+                response, _follower = await self.flights.run(
+                    keyed.key, lambda: self._miss(keyed), timeout=timeout
+                )
+            except (TimeoutError, asyncio.TimeoutError):
+                # This waiter's deadline, not the job's: the flight keeps
+                # running for the remaining waiters (and to warm the cache).
+                self.waiter_timeouts += 1
+                exc = ServiceTimeoutError(timeout if timeout is not None else 0.0)
+                if not self.service.degrade_on_timeout:
+                    raise exc from None
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, self.service._degraded_response, keyed, exc
+                )
+            return response
         finally:
             self.service._observe(time.monotonic() - started)
-
-    async def _solve_keyed(self, keyed: KeyedRequest) -> dict[str, Any]:
-        self.service._reject_if_draining()
-        hit = self.service.lookup(keyed)
-        if hit is not None:
-            return hit
-        timeout = keyed.timeout if keyed.timeout is not None else self._default_timeout
-        if timeout is not None and timeout <= 0:
-            raise ServiceError(f"timeout must be positive, got {timeout}")
-        try:
-            response, _follower = await self.flights.run(
-                keyed.key, lambda: self._miss(keyed), timeout=timeout
-            )
-        except (TimeoutError, asyncio.TimeoutError):
-            # This waiter's deadline, not the job's: the flight keeps
-            # running for the remaining waiters (and to warm the cache).
-            self.waiter_timeouts += 1
-            exc = ServiceTimeoutError(timeout if timeout is not None else 0.0)
-            if not self.service.degrade_on_timeout:
-                raise exc from None
-            return await asyncio.get_running_loop().run_in_executor(
-                None, self._degraded_sync, keyed, exc
-            )
-        return response
 
     async def _miss(self, keyed: KeyedRequest) -> dict[str, Any]:
         """Flight-leader body: one job on the service's executor.
@@ -170,78 +172,45 @@ class AsyncServiceCore:
         return response
 
     # ------------------------------------------------------------------ #
-    # Worker-thread body (never runs on the loop)
-    # ------------------------------------------------------------------ #
-
-    def _degraded_sync(
-        self, keyed: KeyedRequest, exc: ServiceTimeoutError
-    ) -> dict[str, Any]:
-        return self.service._degraded_response(self.service.complete(keyed), exc)
-
-    # ------------------------------------------------------------------ #
     # Batch endpoint
     # ------------------------------------------------------------------ #
 
     def solve_batch_stream(self, payloads: Any) -> AsyncIterator[dict[str, Any]]:
         """``/v1/solve_batch``: responses in input order, streamed as ready.
 
-        Envelope validation and dispatch are eager — a non-array body
-        raises *here*, before the first item is yielded, so the HTTP
-        layer can still answer 400 with an unstarted response.  All
-        items run concurrently through the shared coalesce/executor path;
-        item *i* is yielded once it (and its predecessors) are done, so
-        the response streams back while later slots still converge.
-        Items whose request key already appeared earlier in the batch
-        copy the first occurrence's response with ``deduped: true``,
-        exactly like the threaded endpoint.
+        Planning is eager — a non-array body raises *here*, before the
+        first item is yielded, so the HTTP layer can still answer 400
+        with an unstarted response — and every miss is submitted before
+        the first await.  Item *i* is yielded once it (and its
+        predecessors) are done, so the response streams back while later
+        slots still converge.
         """
-        if not isinstance(payloads, (list, tuple)):
-            raise ServiceError("'requests' must be an array of solve requests")
         started = time.monotonic()
-        first_seen: dict[RequestKey, "asyncio.Task[dict[str, Any]]"] = {}
-        entries: list[tuple[str, Any]] = []
-        duplicates = 0
-        for keyed in self.service.parse_heads(payloads):
-            if isinstance(keyed, Exception):
-                entries.append(("error", error_payload(keyed)))
-                continue
-            prior = first_seen.get(keyed.key)
-            if prior is not None:
-                duplicates += 1
-                entries.append(("dup", prior))
-                continue
-            task = asyncio.ensure_future(self._solve_keyed(keyed))
-            first_seen[keyed.key] = task
-            entries.append(("task", task))
-        return self._batch_results(entries, duplicates, started)
+        slots = self.service.plan_batch(payloads, default_timeout=self._default_timeout)
+        return self._stream(slots, started)
 
-    async def _batch_results(
-        self,
-        entries: list[tuple[str, Any]],
-        duplicates: int,
-        started: float,
+    async def _stream(
+        self, slots: list[BatchSlot], started: float
     ) -> AsyncIterator[dict[str, Any]]:
+        loop = asyncio.get_running_loop()
+        responses: list[dict[str, Any]] = []
         try:
-            for kind, value in entries:
-                if kind == "error":
-                    yield value
-                    continue
-                try:
-                    response = await value
-                except Exception as exc:
-                    response = error_payload(exc)
-                if kind == "dup":
-                    # Copies of the first occurrence are flagged even when
-                    # it failed, exactly like the threaded endpoint.
-                    response = dict(response)
-                    response["deduped"] = True
+            for slot in slots:
+                if slot.future is None:
+                    response = slot.settled(responses)
+                else:
+                    try:
+                        response = slot.pick(await asyncio.wrap_future(slot.future))
+                    except ServiceTimeoutError as exc:
+                        # A degraded answer decodes and solves: off the loop.
+                        response = await loop.run_in_executor(
+                            None, self.service._timed_out_item, slot.keyed, exc
+                        )
+                    except Exception as exc:
+                        response = error_payload(exc)
+                responses.append(response)
                 yield response
         finally:
-            for _kind, value in entries:
-                if isinstance(value, asyncio.Task) and not value.done():
-                    value.cancel()
-            with self.service._lock:
-                self.service._batch_deduped += duplicates
             self.service._observe(time.monotonic() - started)
 
     # ------------------------------------------------------------------ #

@@ -39,12 +39,11 @@ from collections.abc import AsyncIterator, Sequence
 from typing import Any
 
 from repro.exceptions import ServiceError
-from repro.service.app import SchedulingService, error_payload
+from repro.service.app import ERROR_STATUS, SchedulingService, error_payload
 from repro.service.aio.core import AsyncServiceCore
 from repro.service.codec import dumps, loads
 from repro.service.http import (
     HttpPeer,
-    _status_for,
     _WORKFLOW_EVENTS_RE,
     _WORKFLOW_STATUS_RE,
     _WORKFLOW_SYNC_RE,
@@ -142,13 +141,10 @@ class AsyncServiceServer:
     def _send_error_payload(
         self, writer: asyncio.StreamWriter, exc: BaseException, keep_alive: bool
     ) -> None:
-        status = _status_for(exc)
+        payload = error_payload(exc)
+        status = ERROR_STATUS[payload["error"]["kind"]]
         self._send(
-            writer,
-            status,
-            error_payload(exc),
-            keep_alive=keep_alive,
-            retry_after=status == 503,
+            writer, status, payload, keep_alive=keep_alive, retry_after=status == 503
         )
 
     def _not_found(

@@ -1,7 +1,8 @@
 """The scheduling service: parse → memoize → dispatch → respond.
 
-:class:`SchedulingService` is the transport-agnostic core behind the HTTP
-front-end (:mod:`repro.service.http`) and the ``repro submit`` client:
+:class:`SchedulingService` is the transport-agnostic core behind both
+HTTP front ends (:mod:`repro.service.http` blocks on it, the asyncio
+core :mod:`repro.service.aio` awaits it) and the ``repro submit`` client:
 
 1. :meth:`~SchedulingService.parse_head` validates a request payload
    (canonical wire format, :mod:`repro.service.codec`), configures the
@@ -10,20 +11,26 @@ front-end (:mod:`repro.service.http`) and the ``repro submit`` client:
 2. the key is looked up in the memoizing result store
    (:mod:`repro.service.cache`) — a hit replays the stored result
    fragment byte-for-byte with ``cache_hit: true`` and never decodes;
-3. a miss decodes the problem (:meth:`~SchedulingService.complete`) and
-   is dispatched to the bounded job executor
-   (:mod:`repro.service.executor`), which runs the registered scheduler,
-   encodes the result, and populates both cache tiers;
+3. a miss is submitted, still undecoded, to the bounded job executor
+   (:mod:`repro.service.executor`); its worker decodes the problem
+   through the memo, runs the registered scheduler, encodes the result
+   and populates both cache tiers;
 4. ``stats()`` aggregates cache hit-rate, executor counters and p50/p95
    latencies for ``GET /v1/stats``.
+
+``/v1/solve_batch`` runs through one planner,
+:meth:`~SchedulingService.plan_batch`, on either front end: it parses,
+dedupes, probes the cache, groups misses that differ only in budget
+into one executor job, and returns one slot per input position without
+blocking.  :meth:`~SchedulingService.solve_batch` blocks on the slots;
+the asyncio core awaits them.
 
 The hash (step 1) and the decode (step 3) are memoized per exact
 problem payload: a bounded LRU of :data:`PROBLEM_MEMO_SIZE` entries maps
 the payload's fingerprint to its ``problem_hash`` and, once decoded, its
 :class:`MedCCProblem`, whose cached ``GraphIndex`` and matrices then
 carry over to later solves.  A workflow resubmitted at another budget is
-neither re-hashed nor re-decoded, on the threaded front end, in a batch
-(:meth:`~SchedulingService.solve_batch`) and in the asyncio core alike.
+neither re-hashed nor re-decoded.
 
 Fabric lifecycle (see ``docs/service.md`` "Resilience & multi-node"):
 :attr:`SchedulingService.ready` distinguishes readiness from liveness
@@ -67,8 +74,9 @@ from repro.service.executor import JobExecutor, percentile
 from repro.service.keys import RequestKey, params_hash, problem_hash
 
 __all__ = [
+    "BatchSlot",
+    "ERROR_STATUS",
     "KeyedRequest",
-    "ParsedRequest",
     "SchedulingService",
     "error_payload",
 ]
@@ -85,30 +93,16 @@ LATENCY_WINDOW = 4096
 
 
 @dataclasses.dataclass
-class ParsedRequest:
-    """A decoded, validated solve request ready for lookup or dispatch."""
-
-    problem: MedCCProblem
-    scheduler: Any
-    algorithm: str
-    budget: float
-    timeout: float | None
-    key: RequestKey
-
-
-@dataclasses.dataclass
 class KeyedRequest:
-    """A validated request whose problem payload is not yet decoded.
+    """A validated solve request whose problem payload is not yet decoded.
 
     Everything needed for a cache lookup — the content-addressed
     :attr:`key`, the configured scheduler and the budget — is present,
-    but :func:`repro.service.codec.decode_problem` has not run.  The
-    asyncio core (:mod:`repro.service.aio`) keys its single-flight table
-    on :attr:`key` straight from the hash, so N coalesced duplicates pay
-    for one decode (the flight leader's) instead of N.
-    :meth:`SchedulingService.complete` upgrades this to a
-    :class:`ParsedRequest`, decoding only if :attr:`entry` holds no
-    problem yet.
+    but :func:`repro.service.codec.decode_problem` has not run.  This is
+    the one request type: a miss is submitted as it stands, and its
+    executor worker decodes the problem through the memo
+    (:attr:`entry`), so a payload already decoded is never decoded again
+    and coalesced duplicates pay for one decode instead of N.
     """
 
     problem_payload: Mapping[str, Any]
@@ -211,16 +205,67 @@ class _ProblemMemo:
 class _BatchSolveJob:
     """One executor job covering several same-payload cache misses.
 
-    All items share one decoded problem, algorithm, knob set and timeout
-    — only the budgets differ — so the scheduler's ``solve_batch`` runs
-    them on one worker slot, largest budget first.
+    All items share one memo entry (so one decoded problem), algorithm,
+    knob set and timeout — only the budgets differ — so the scheduler's
+    ``solve_batch`` runs them on one worker slot, largest budget first.
     """
 
-    items: list[ParsedRequest]
+    items: list[KeyedRequest]
+
+
+@dataclasses.dataclass
+class BatchSlot:
+    """One ``/v1/solve_batch`` position as :meth:`SchedulingService.plan_batch` left it.
+
+    Exactly one of three holds: :attr:`response` is the item's final
+    answer (a parse error, a cache hit, a rejected submit); or
+    :attr:`future` is the job its miss rides on, whose result is the
+    item's response — or, for a grouped job, holds it at
+    ``batch[item]``; or :attr:`dup_of` is the earlier position whose
+    request key this item repeats.
+    """
+
+    keyed: KeyedRequest | None = None
+    response: dict[str, Any] | None = None
+    future: "Future[dict[str, Any]] | None" = None
+    item: int | None = None
+    dup_of: int | None = None
+
+    def settled(self, earlier: Sequence[dict[str, Any]]) -> dict[str, Any]:
+        """The answer of a slot with no job: its own, or a flagged copy."""
+        if self.dup_of is None:
+            assert self.response is not None
+            return self.response
+        # Copies of the first occurrence are flagged even when it failed.
+        copy = dict(earlier[self.dup_of])
+        copy["deduped"] = True
+        return copy
+
+    def pick(self, job_response: dict[str, Any]) -> dict[str, Any]:
+        """This item's response out of its finished job's response."""
+        return job_response if self.item is None else job_response["batch"][self.item]
+
+
+#: HTTP status of each error ``kind`` (``not_ready`` is the readiness
+#: probe's).  Every front end and the shard router derive statuses here.
+ERROR_STATUS = {
+    "overloaded": 503,
+    "not_ready": 503,
+    "upstream_unavailable": 503,
+    "timeout": 504,
+    "infeasible_budget": 400,
+    "bad_request": 400,
+    "conflict": 409,
+    "not_found": 404,
+    "internal": 500,
+}
 
 
 def error_payload(exc: BaseException) -> dict[str, Any]:
-    """The canonical error body (shared by HTTP responses and batch items)."""
+    """The canonical error body (shared by HTTP responses and batch items).
+
+    Its ``error.kind`` maps to the HTTP status through :data:`ERROR_STATUS`.
+    """
     if isinstance(exc, ServiceOverloadedError):
         kind = "overloaded"
     elif isinstance(exc, ServiceTimeoutError):
@@ -360,8 +405,8 @@ class SchedulingService:
         Everything except :func:`codec.decode_problem` runs here: field
         validation, scheduler configuration, and the content hash (skipped
         when the exact payload is memoized).  Both front ends probe the
-        cache on the returned key before paying for the decode;
-        :meth:`complete` finishes the job.
+        cache on the returned key; a miss is decoded on its executor
+        worker.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
@@ -425,99 +470,69 @@ class SchedulingService:
             entry=entry,
         )
 
-    def parse_heads(self, payloads: Sequence[Any]) -> list["KeyedRequest | Exception"]:
-        """:meth:`parse_head` for each batch item, failures in place.
-
-        A failing item's exception takes its slot, so it fails alone.
-        Serves both the threaded ``/v1/solve_batch`` and the asyncio
-        batch stream.
-        """
-        heads: list[KeyedRequest | Exception] = []
-        for payload in payloads:
-            try:
-                heads.append(self.parse_head(payload))
-            except Exception as exc:  # lint: ignore[RS602] - per-item isolation
-                heads.append(exc)
-        return heads
-
-    def complete(self, keyed: KeyedRequest) -> ParsedRequest:
-        """Upgrade a :class:`KeyedRequest` to a :class:`ParsedRequest`.
-
-        The problem is decoded only when the exact payload's memo entry
-        holds none yet, so a workflow solved at many budgets is decoded
-        once.  Decoded problems may be shared across threads; they are
-        never mutated.
-        """
-        return ParsedRequest(
-            problem=self._problems.problem(keyed),
-            scheduler=keyed.scheduler,
-            algorithm=keyed.algorithm,
-            budget=keyed.budget,
-            timeout=keyed.timeout,
-            key=keyed.key,
-        )
-
     # ------------------------------------------------------------------ #
     # Solve paths
     # ------------------------------------------------------------------ #
 
-    def _solve_job(
-        self, job: "ParsedRequest | KeyedRequest | _BatchSolveJob"
-    ) -> dict[str, Any]:
-        """Executor job body: run the scheduler, encode, memoize.
+    def _solve_job(self, job: "KeyedRequest | _BatchSolveJob") -> dict[str, Any]:
+        """Executor job body: decode through the memo, solve, encode, memoize.
 
-        A :class:`KeyedRequest` (the asyncio core's miss) is decoded here,
-        on the worker thread, through the problem memo.
+        Runs on a worker thread, so no front end ever decodes a miss.
         """
         if isinstance(job, _BatchSolveJob):
             return self._solve_group(job.items)
-        if isinstance(job, KeyedRequest):
-            job = self.complete(job)
-        return self._store(job, job.scheduler.solve(job.problem, job.budget))
+        problem = self._problems.problem(job)
+        return self._store(job, problem, job.scheduler.solve(problem, job.budget))
 
-    def _solve_group(self, items: Sequence[ParsedRequest]) -> dict[str, Any]:
+    def _solve_group(self, items: Sequence[KeyedRequest]) -> dict[str, Any]:
         """One worker slot, many budgets: the grouped batch-solve job.
 
-        Items share one decoded problem, so one ``solve_batch`` call
-        answers them all, byte-identical to per-item :meth:`_solve_job`
-        runs.  If it rejects the group as a whole (one member's budget
+        Items share one memo entry, so one decode and one ``solve_batch``
+        call answer them all, byte-identical to per-item
+        :meth:`_solve_job` runs.  A decode error fails every item.  If
+        ``solve_batch`` rejects the group as a whole (one member's budget
         is infeasible), each item is solved alone so a bad item cannot
         fail its groupmates.
         """
         first = items[0]
+        problem = self._problems.problem(first)
         try:
             results = first.scheduler.solve_batch(
-                first.problem, [parsed.budget for parsed in items]
+                problem, [keyed.budget for keyed in items]
             )
         except ReproError:
             batch = []
-            for parsed in items:
+            for keyed in items:
                 try:
-                    batch.append(self._solve_job(parsed))
+                    batch.append(self._solve_job(keyed))
                 except Exception as exc:
                     batch.append(error_payload(exc))
             return {"status": "ok", "batch": batch}
         return {
             "status": "ok",
-            "batch": [self._store(parsed, r) for parsed, r in zip(items, results)],
+            "batch": [
+                self._store(keyed, problem, result)
+                for keyed, result in zip(items, results)
+            ],
         }
 
-    def _store(self, parsed: ParsedRequest, result: SchedulerResult) -> dict[str, Any]:
+    def _store(
+        self, keyed: KeyedRequest, problem: MedCCProblem, result: SchedulerResult
+    ) -> dict[str, Any]:
         """Encode a fresh result, cache its fragment, build the response."""
         fragment = codec.encode_result_fragment(
             result,
-            parsed.problem.catalog,
-            engine=str(getattr(parsed.scheduler, "engine", "default")),
+            problem.catalog,
+            engine=str(getattr(keyed.scheduler, "engine", "default")),
         )
-        self.cache.put(parsed.key, fragment)
-        return self._response(parsed, fragment, cache_hit=False)
+        self.cache.put(keyed.key, fragment)
+        return self._response(keyed, fragment, cache_hit=False)
 
-    def lookup(self, keyed: "KeyedRequest | ParsedRequest") -> dict[str, Any] | None:
+    def lookup(self, keyed: KeyedRequest) -> dict[str, Any] | None:
         """The cache-hit response for a request, or ``None`` on a miss.
 
-        Works on a :class:`KeyedRequest` (no decode needed — the response
-        only uses the key, algorithm and budget), so the asyncio core can
-        probe both cache tiers before paying for the problem decode.
+        The response uses only the key, algorithm and budget, so a hit
+        never decodes the problem.
         """
         fragment = self.cache.get(keyed.key)
         if fragment is None:
@@ -525,38 +540,52 @@ class SchedulingService:
         return self._response(keyed, fragment, cache_hit=True)
 
     def _degraded_response(
-        self, parsed: ParsedRequest, exc: ServiceTimeoutError
+        self, keyed: KeyedRequest, exc: ServiceTimeoutError
     ) -> dict[str, Any]:
         """Least-cost fallback for a solve that blew its deadline.
 
         The least-cost schedule is feasible for every feasible budget and
-        costs O(m·n) to build, so it can run synchronously on the intake
-        thread.  The response is marked ``degraded: true`` (top level and
-        in the fragment) and is *not* cached — a retry after the overload
-        passes still computes the real schedule.
+        costs O(m·n) to build, so it can run synchronously on the calling
+        thread (off the event loop on the asyncio front end); the problem
+        is decoded through the memo.  The response is marked
+        ``degraded: true`` (top level and in the fragment) and is *not*
+        cached — a retry after the overload passes still computes the
+        real schedule.
         """
         from repro.algorithms.least_cost import LeastCostScheduler
 
+        problem = self._problems.problem(keyed)
         try:
-            result = LeastCostScheduler().solve(parsed.problem, parsed.budget)
+            result = LeastCostScheduler().solve(problem, keyed.budget)
         except ReproError:
             raise exc from None
         fragment = codec.encode_result_fragment(
             result,
-            parsed.problem.catalog,
+            problem.catalog,
             engine="degraded",
             degraded=True,
             degraded_reason=str(exc),
         )
         with self._lock:
             self._degraded += 1
-        response = self._response(parsed, fragment, cache_hit=False)
+        response = self._response(keyed, fragment, cache_hit=False)
         response["degraded"] = True
         return response
 
+    def _timed_out_item(
+        self, keyed: KeyedRequest, exc: ServiceTimeoutError
+    ) -> dict[str, Any]:
+        """A batch item whose job blew its deadline: degraded, else the error."""
+        if not self.degrade_on_timeout:
+            return error_payload(exc)
+        try:
+            return self._degraded_response(keyed, exc)
+        except Exception as degrade_exc:
+            return error_payload(degrade_exc)
+
     @staticmethod
     def _response(
-        parsed: "ParsedRequest | KeyedRequest",
+        keyed: KeyedRequest,
         fragment: Mapping[str, Any],
         *,
         cache_hit: bool,
@@ -564,10 +593,10 @@ class SchedulingService:
         return {
             "status": "ok",
             "cache_hit": cache_hit,
-            "problem_hash": parsed.key.problem_hash,
-            "params_hash": parsed.key.params_hash,
-            "algorithm": parsed.algorithm,
-            "budget": parsed.budget,
+            "problem_hash": keyed.key.problem_hash,
+            "params_hash": keyed.key.params_hash,
+            "algorithm": keyed.algorithm,
+            "budget": keyed.budget,
             "result": dict(fragment),
         }
 
@@ -585,7 +614,7 @@ class SchedulingService:
             )
 
     def _await(
-        self, parsed: ParsedRequest, future: "Future[dict[str, Any]]"
+        self, keyed: KeyedRequest, future: "Future[dict[str, Any]]"
     ) -> dict[str, Any]:
         """Block on one future, applying the degradation contract."""
         try:
@@ -593,14 +622,15 @@ class SchedulingService:
         except ServiceTimeoutError as exc:
             if not self.degrade_on_timeout:
                 raise
-            return self._degraded_response(parsed, exc)
+            return self._degraded_response(keyed, exc)
 
     def solve(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Blocking solve of one request payload; returns the response.
 
         A cache hit answers on the intake thread without decoding the
-        problem; a miss decodes it and goes through the bounded executor
-        (which may raise :class:`ServiceOverloadedError` right here).
+        problem; a miss goes through the bounded executor (which may
+        raise :class:`ServiceOverloadedError` right here), whose worker
+        decodes it.
         """
         started = time.monotonic()
         try:
@@ -609,159 +639,119 @@ class SchedulingService:
             hit = self.lookup(keyed)
             if hit is not None:
                 return hit
-            parsed = self.complete(keyed)
             future = self.executor.submit(
-                parsed, timeout=parsed.timeout, label=parsed.algorithm
+                keyed, timeout=keyed.timeout, label=keyed.algorithm
             )
-            return self._await(parsed, future)
+            return self._await(keyed, future)
         finally:
             self._observe(time.monotonic() - started)
+
+    def plan_batch(
+        self, payloads: Any, *, default_timeout: float | None = None
+    ) -> list[BatchSlot]:
+        """Parse, dedupe, probe and submit a batch; one slot per position.
+
+        The ``/v1/solve_batch`` planner of both front ends.  It never
+        blocks on a job: the threaded :meth:`solve_batch` then blocks on
+        the slots, the asyncio core awaits them.  Per item, in order:
+
+        * a payload that fails to parse answers its error;
+        * **dedupe** — an item whose request key (same problem,
+          algorithm, knobs *and* budget) appeared earlier copies that
+          occurrence's response, marked ``deduped: true``;
+        * a draining service, or a cache hit, answers at once;
+        * **grouping** — misses that share an exact problem payload (one
+          memo entry), algorithm, knob set and timeout, and whose
+          scheduler exposes ``solve_batch``, form one
+          :class:`_BatchSolveJob`, so one worker slot walks the budget
+          axis largest first over one decoded problem.  Every other miss
+          is one job.  Jobs are submitted in first-item order, each with
+          the item's ``timeout`` (else ``default_timeout``, else the
+          executor's); a rejected submit answers every item it carried.
+
+        Responses and cached fragments are byte-identical to per-item
+        :meth:`solve` calls.  Raises :class:`ServiceError` (before any
+        item runs) when ``payloads`` is not an array.
+        """
+        if not isinstance(payloads, (list, tuple)):
+            raise ServiceError("'requests' must be an array of solve requests")
+        slots: list[BatchSlot] = []
+        first_seen: dict[RequestKey, int] = {}
+        jobs: dict[object, list[tuple[BatchSlot, KeyedRequest]]] = {}
+        for idx, payload in enumerate(payloads):
+            try:
+                keyed = self.parse_head(payload)
+            except Exception as exc:
+                slots.append(BatchSlot(response=error_payload(exc)))
+                continue
+            first = first_seen.setdefault(keyed.key, idx)
+            if first != idx:
+                slots.append(BatchSlot(dup_of=first))
+                continue
+            slot = BatchSlot(keyed=keyed)
+            slots.append(slot)
+            try:
+                self._reject_if_draining()
+                slot.response = self.lookup(keyed)
+            except Exception as exc:
+                slot.response = error_payload(exc)
+            if slot.response is not None:
+                continue
+            job_key: object = idx  # solved alone
+            if getattr(keyed.scheduler, "solve_batch", None) is not None:
+                # The knob hash at budget 0.0 is budget-free.
+                knobs = params_hash(keyed.algorithm, 0.0, declared_params(keyed.scheduler))
+                job_key = (keyed.entry, keyed.algorithm, knobs, keyed.timeout)
+            jobs.setdefault(job_key, []).append((slot, keyed))
+
+        grouped_items = grouped_runs = 0
+        for members in jobs.values():
+            head = members[0][1]
+            grouped = len(members) > 1
+            job = _BatchSolveJob([keyed for _, keyed in members]) if grouped else head
+            try:
+                future = self.executor.submit(
+                    job,
+                    timeout=head.timeout if head.timeout is not None else default_timeout,
+                    label=head.algorithm,
+                )
+            except Exception as exc:
+                for slot, _ in members:
+                    slot.response = error_payload(exc)
+                continue
+            for item, (slot, _) in enumerate(members):
+                slot.future = future
+                slot.item = item if grouped else None
+            if grouped:
+                grouped_items += len(members)
+                grouped_runs += 1
+        with self._lock:
+            self._batch_deduped += sum(slot.dup_of is not None for slot in slots)
+            self._batch_grouped_items += grouped_items
+            self._batch_grouped_runs += grouped_runs
+        return slots
 
     def solve_batch(self, payloads: Any) -> list[dict[str, Any]]:
         """Solve a batch; responses in input order, errors captured per item.
 
-        Each distinct problem payload is hashed and decoded at most once
-        (the problem memo), and every distinct key is probed in the cache.
-        Two batch-only optimizations run before dispatch:
-
-        * **Dedupe** — items with an identical request key (same problem,
-          algorithm, knobs *and* budget) are solved once; duplicates
-          receive a copy of the first occurrence's response marked
-          ``deduped: true``.
-        * **Grouping** — distinct cache misses that share an exact
-          problem payload (one memo entry, so one decoded problem),
-          algorithm, knob set and timeout (only budgets differ) are
-          dispatched as one :class:`_BatchSolveJob` when the scheduler
-          exposes ``solve_batch``, so one worker slot walks the budget
-          axis largest first over the problem's trace memo.  Responses
-          and cached fragments are byte-identical to per-item dispatch.
+        Plans through :meth:`plan_batch`, then blocks on each slot in
+        input order.
         """
-        if not isinstance(payloads, (list, tuple)):
-            raise ServiceError("'requests' must be an array of solve requests")
         started = time.monotonic()
-        total = len(payloads)
-        responses: list[dict[str, Any] | None] = [None] * total
-        first_seen: dict[RequestKey, int] = {}
-        duplicates: list[tuple[int, int]] = []  # (position, first occurrence)
-        misses: list[tuple[int, KeyedRequest]] = []
-        for idx, keyed in enumerate(self.parse_heads(payloads)):
-            if isinstance(keyed, Exception):
-                responses[idx] = error_payload(keyed)
+        responses: list[dict[str, Any]] = []
+        for slot in self.plan_batch(payloads):
+            if slot.future is None:
+                responses.append(slot.settled(responses))
                 continue
-            first = first_seen.setdefault(keyed.key, idx)
-            if first != idx:
-                duplicates.append((idx, first))
-                continue
+            assert slot.keyed is not None
             try:
-                self._reject_if_draining()
-                hit = self.lookup(keyed)
+                responses.append(slot.pick(slot.future.result()))
+            except ServiceTimeoutError as exc:
+                responses.append(self._timed_out_item(slot.keyed, exc))
             except Exception as exc:
-                responses[idx] = error_payload(exc)
-                continue
-            if hit is not None:
-                responses[idx] = hit
-            else:
-                misses.append((idx, keyed))
-
-        # Decode through the memo; a decode error fails only the items
-        # carrying that payload, and is not retried within the batch.
-        # Misses whose scheduler can batch are grouped by (payload,
-        # algorithm, knobs, timeout), the knob hash taken at budget 0.0
-        # so it is budget-free; the rest go through the normal
-        # one-job-per-item path.
-        decode_errors: dict[_ProblemEntry, Exception] = {}
-        parsed_items: dict[int, ParsedRequest] = {}
-        singles: list[int] = []
-        groups: dict[tuple[_ProblemEntry, str, str, float | None], list[int]] = {}
-        for idx, keyed in misses:
-            error = decode_errors.get(keyed.entry)
-            if error is None:
-                try:
-                    parsed = parsed_items[idx] = self.complete(keyed)
-                except Exception as exc:  # lint: ignore[RS602] - recorded per item
-                    error = decode_errors[keyed.entry] = exc
-            if error is not None:
-                responses[idx] = error_payload(error)
-                continue
-            if getattr(parsed.scheduler, "solve_batch", None) is not None:
-                knobs = params_hash(parsed.algorithm, 0.0, declared_params(parsed.scheduler))
-                group_key = (keyed.entry, parsed.algorithm, knobs, parsed.timeout)
-                groups.setdefault(group_key, []).append(idx)
-            else:
-                singles.append(idx)
-
-        group_futures: list[tuple[list[int], "Future[dict[str, Any]]"]] = []
-        grouped_items = 0
-        for members in groups.values():
-            if len(members) == 1:
-                singles.extend(members)
-                continue
-            items = [parsed_items[i] for i in members]
-            head = items[0]
-            try:
-                future = self.executor.submit(
-                    _BatchSolveJob(items=items),  # type: ignore[arg-type]
-                    timeout=head.timeout,
-                    label=head.algorithm,
-                )
-            except Exception as exc:
-                for i in members:
-                    responses[i] = error_payload(exc)
-                continue
-            grouped_items += len(members)
-            group_futures.append((members, future))
-
-        single_futures: list[tuple[int, "Future[dict[str, Any]]"]] = []
-        for idx in singles:
-            parsed = parsed_items[idx]
-            try:
-                future = self.executor.submit(
-                    parsed, timeout=parsed.timeout, label=parsed.algorithm
-                )
-            except Exception as exc:
-                responses[idx] = error_payload(exc)
-                continue
-            single_futures.append((idx, future))
-
-        for idx, future in single_futures:
-            parsed = parsed_items[idx]
-            try:
-                responses[idx] = self._await(parsed, future)
-            except Exception as exc:
-                responses[idx] = error_payload(exc)
-
-        for members, future in group_futures:
-            try:
-                grouped = future.result()
-            except Exception as exc:
-                for i in members:
-                    parsed = parsed_items[i]
-                    if isinstance(exc, ServiceTimeoutError) and self.degrade_on_timeout:
-                        try:
-                            responses[i] = self._degraded_response(parsed, exc)
-                            continue
-                        except Exception as degrade_exc:
-                            responses[i] = error_payload(degrade_exc)
-                            continue
-                    responses[i] = error_payload(exc)
-                continue
-            for i, item_response in zip(members, grouped["batch"]):
-                responses[i] = item_response
-
-        for idx, first in duplicates:
-            source = responses[first]
-            assert source is not None
-            copy = dict(source)
-            copy["deduped"] = True
-            responses[idx] = copy
-
-        with self._lock:
-            self._batch_deduped += len(duplicates)
-            self._batch_grouped_items += grouped_items
-            self._batch_grouped_runs += len(group_futures)
+                responses.append(error_payload(exc))
         self._observe(time.monotonic() - started)
-        assert all(response is not None for response in responses)
-        return responses  # type: ignore[return-value]
+        return responses
 
     # ------------------------------------------------------------------ #
     # Live workflows (stateful mid-flight re-optimization)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import traceback
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import Future, InvalidStateError
@@ -284,6 +285,9 @@ class JobExecutor:
                 self._run_job(job)
             finally:
                 self._jobs.task_done()
+            # An idle worker must not pin its last job: a miss carries its
+            # request's undecoded problem payload until the worker decodes it.
+            job = None
 
     def _run_job(self, job: _Job) -> None:
         with job.record._lock:
@@ -310,6 +314,14 @@ class JobExecutor:
         try:
             result = self._fn(job.request)
         except BaseException as exc:  # noqa: B036  # lint: ignore[RS602] - fed to the job future
+            # The future keeps the error, and the error chain's tracebacks
+            # keep the failed job's frames: release their locals (the
+            # request payload, a half-decoded problem) now, not at the
+            # next gc pass.
+            cause: BaseException | None = exc
+            while cause is not None:
+                traceback.clear_frames(cause.__traceback__)
+                cause = cause.__cause__ or cause.__context__
             self._finish(job, error=exc)
         else:
             self._finish(job, result=result)

@@ -57,17 +57,10 @@ from typing import Any
 
 from repro.exceptions import (
     EventConflictError,
-    LiveLogCorruptionError,
-    InfeasibleBudgetError,
-    ReproError,
     ServiceError,
-    ServiceOverloadedError,
-    ServiceTimeoutError,
-    StaleEpochError,
     TransientServiceError,
-    UnknownWorkflowError,
 )
-from repro.service.app import SchedulingService, error_payload
+from repro.service.app import ERROR_STATUS, SchedulingService, error_payload
 from repro.service.codec import dumps, loads
 from repro.service.resilience import RetryPolicy
 
@@ -84,26 +77,6 @@ __all__ = [
 _WORKFLOW_EVENTS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/events$")
 _WORKFLOW_SYNC_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/sync$")
 _WORKFLOW_STATUS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)$")
-
-
-def _status_for(exc: BaseException) -> int:
-    if isinstance(exc, ServiceOverloadedError):
-        return 503
-    if isinstance(exc, ServiceTimeoutError):
-        return 504
-    if isinstance(exc, TransientServiceError):
-        return 503
-    if isinstance(exc, (EventConflictError, StaleEpochError)):
-        return 409
-    if isinstance(exc, UnknownWorkflowError):
-        return 404
-    if isinstance(exc, LiveLogCorruptionError):
-        # Server-side log damage, never the client's payload: 500-shaped
-        # so routers fail over instead of surfacing a bad_request.
-        return 500
-    if isinstance(exc, (InfeasibleBudgetError, ServiceError, ReproError)):
-        return 400
-    return 500
 
 
 class ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -143,8 +116,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_error_payload(self, exc: BaseException) -> None:
-        status = _status_for(exc)
-        self._send_json(status, error_payload(exc), retry_after=status == 503)
+        payload = error_payload(exc)
+        status = ERROR_STATUS[payload["error"]["kind"]]
+        self._send_json(status, payload, retry_after=status == 503)
 
     def _read_body(self) -> dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)

@@ -62,7 +62,7 @@ from repro.exceptions import (
     ServiceError,
     TransientServiceError,
 )
-from repro.service.app import error_payload
+from repro.service.app import ERROR_STATUS, error_payload
 from repro.service.codec import dumps
 from repro.service.http import (
     _WORKFLOW_EVENTS_RE,
@@ -610,18 +610,7 @@ def _body_status(response: dict[str, Any]) -> int:
     """HTTP status for a routed response body (pass-through mapping)."""
     if response.get("status") != "error":
         return 200
-    kind = response.get("error", {}).get("kind")
-    if kind in ("overloaded", "not_ready", "upstream_unavailable"):
-        return 503
-    if kind == "timeout":
-        return 504
-    if kind == "internal":
-        return 500
-    if kind == "not_found":
-        return 404
-    if kind == "conflict":
-        return 409
-    return 400
+    return ERROR_STATUS.get(response.get("error", {}).get("kind"), 400)
 
 
 def make_router_server(

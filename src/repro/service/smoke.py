@@ -11,6 +11,10 @@ permuted — then the unpermuted workload at a new budget, and asserts:
 * the third response is a miss, byte-identical to an in-process
   :class:`~repro.service.app.SchedulingService` solve, and reused the
   first request's decoded problem (``problems.decode_hits >= 1``);
+* a ``/v1/solve_batch`` of three new budgets plus a duplicate is
+  byte-identical to an in-process ``solve_batch``, and ran the three
+  misses as one grouped job (``batch.grouped_items >= 3``,
+  ``batch.deduped >= 1``) — on either front end;
 * ``/v1/stats`` reports at least one hit and one miss.
 
 The final ``/v1/stats`` body is written to ``--out`` so CI can upload it
@@ -143,7 +147,22 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"  served:     {dumps(third)}\n  in-process: {dumps(expected)}"
             )
 
+        batch = [
+            {"problem": payload, "budget": args.budget + step} for step in (2, 3, 4, 2)
+        ]
+        served_batch = client.solve_batch(batch)
+        with SchedulingService(max_workers=1) as local:
+            expected_batch = {"status": "ok", "results": local.solve_batch(batch)}
+        if dumps(served_batch) != dumps(expected_batch):
+            return _fail(
+                "batch differs from an in-process solve_batch:\n"
+                f"  served:     {dumps(served_batch)}\n"
+                f"  in-process: {dumps(expected_batch)}"
+            )
+
         stats = client.stats()["stats"]
+        if stats["batch"]["grouped_items"] < 3 or stats["batch"]["deduped"] < 1:
+            return _fail(f"batch misses were not grouped and deduped: {stats['batch']}")
         cache = stats["cache"]
         if cache["hits"] < 1 or cache["misses"] < 1:
             return _fail(f"expected >=1 hit and >=1 miss, got {cache}")
@@ -155,8 +174,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(args.out, "w") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
         print(
-            f"SMOKE OK: miss+hit+memoized miss verified, payloads "
-            f"byte-identical; stats written to {args.out}"
+            f"SMOKE OK: miss+hit+memoized miss+grouped batch verified, "
+            f"payloads byte-identical; stats written to {args.out}"
         )
         return 0
     finally:

@@ -4,8 +4,9 @@ import threading
 
 import pytest
 
-from repro.exceptions import StaleEpochError
+from repro.exceptions import EventConflictError, StaleEpochError
 from repro.live.fencing import WriterLease, fence_record, record_epoch
+from repro.live.iofault import LogIO
 from repro.live.store import LiveWorkflowManager
 from repro.service.codec import dumps
 
@@ -42,6 +43,16 @@ class TestRecords:
     def test_stale_epoch_error_carries_context(self):
         exc = StaleEpochError("wf", epoch=2, observed=5)
         assert exc.workflow_id == "wf" and exc.epoch == 2 and exc.observed == 5
+
+
+class _StaleSizeOnce(LogIO):
+    """A :class:`LogIO` whose next ``size`` answers ``stale`` once."""
+
+    stale: int | None = None
+
+    def size(self, path):
+        stale, self.stale = self.stale, None
+        return super().size(path) if stale is None else stale
 
 
 class TestFailoverFencing:
@@ -168,3 +179,34 @@ class TestFailoverFencing:
         # Exactly once: five 1.0 topups, no double application.
         assert status["budget"] == 57.0 + 5.0
         assert dumps(node_a.status(wid)) == dumps(node_b.status(wid))
+
+    @pytest.mark.parametrize("amount", [2.0, 7.0])
+    def test_append_after_a_missed_peer_append_answers_from_the_log(
+        self, registration, tmp_path, amount
+    ):
+        """Node A's lease ``stat`` runs just before node B's fence and
+        seq 2 land, so A's own seq 2 is logged after them.  Every replaying
+        node applies B's; A must too, instead of committing its own: the
+        same payload answers as a replay, another one 409s."""
+        io = _StaleSizeOnce()
+        node_a = LiveWorkflowManager(live_dir=tmp_path, node="a", io=io)
+        wid = node_a.register(dict(registration))["workflow_id"]
+        node_a.event(wid, {"seq": 1, "type": "topup", "amount": 1.0})
+        io.stale = (tmp_path / f"{wid}.jsonl").stat().st_size
+
+        node_b = LiveWorkflowManager(live_dir=tmp_path, node="b")
+        node_b.event(wid, {"seq": 2, "type": "topup", "amount": 2.0})
+
+        event = {"seq": 2, "type": "topup", "amount": amount}
+        if amount == 2.0:
+            assert node_a.event(wid, event)["replayed"] is True
+        else:
+            with pytest.raises(EventConflictError):
+                node_a.event(wid, event)
+        fresh = LiveWorkflowManager(live_dir=tmp_path)
+        for node in (node_a, node_b, fresh):
+            assert node.status(wid)["total_budget"] == pytest.approx(60.0)
+        assert dumps(node_a.status(wid)) == dumps(node_b.status(wid))
+        # A writes on from the converged state, under a re-claimed epoch.
+        node_a.event(wid, {"seq": 3, "type": "topup", "amount": 3.0})
+        assert fresh.status(wid)["total_budget"] == pytest.approx(63.0)

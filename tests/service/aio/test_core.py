@@ -160,9 +160,9 @@ class TestBackpressureAndTimeouts:
         # a second takes the only queue slot.
         fillers = []
         for budget in (60.0, 65.0):
-            parsed = svc.complete(svc.parse_head(dict(payload, budget=budget)))
-            gated = _GatedScheduler(parsed.scheduler, gate, started)
-            job = dataclasses.replace(parsed, scheduler=gated)
+            keyed = svc.parse_head(dict(payload, budget=budget))
+            gated = _GatedScheduler(keyed.scheduler, gate, started)
+            job = dataclasses.replace(keyed, scheduler=gated)
             fillers.append(svc.executor.submit(job))
             assert started.wait(5)
 
@@ -254,6 +254,72 @@ class TestBatchStream:
         assert streamed[1]["deduped"] is True
         assert "deduped" not in streamed[0]
         assert stats["batch"]["deduped"] >= 1
+
+    def test_misses_on_one_payload_run_as_one_grouped_job(self, payload):
+        # The async endpoint plans through the threaded endpoint's
+        # planner: three budgets of one payload are one executor job.
+        items = [dict(payload, budget=b) for b in (52.0, 57.0, 64.0)]
+        with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
+            threaded = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
+        with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
+            serial = [dumps(ref.solve(dict(i))) for i in items]
+
+        async def body(svc, core):
+            stream = core.solve_batch_stream([dict(i) for i in items])
+            return [dumps(item) async for item in stream], core.stats()
+
+        streamed, stats = run(with_core(body))
+        assert stats["batch"] == {"deduped": 0, "grouped_items": 3, "grouped_runs": 1}
+        assert stats["executor"]["submitted"] == 1
+        assert streamed == threaded == serial
+
+    @pytest.mark.parametrize("degrade", [False, True])
+    def test_item_held_past_its_timeout(self, payload, degrade):
+        """A held grouped job times out on its own deadline: every item
+        answers ``timeout``, or the degraded least-cost schedule —
+        byte-identical to the threaded endpoint under the same hold."""
+        items = [dict(payload, budget=b, timeout=0.05) for b in (57.0, 64.0)]
+
+        def held_service():
+            svc = SchedulingService(
+                max_workers=1, queue_size=8, cache_size=8, degrade_on_timeout=degrade
+            )
+            gate, solve = threading.Event(), svc.executor._fn
+
+            def held(job):
+                assert gate.wait(10)
+                return solve(job)
+
+            svc.executor._fn = held
+            return svc, gate
+
+        ref, ref_gate = held_service()
+        try:
+            threaded = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
+        finally:
+            ref_gate.set()
+            ref.close()
+
+        svc, gate = held_service()
+
+        async def body(svc, core):
+            try:
+                stream = core.solve_batch_stream([dict(i) for i in items])
+                return [item async for item in stream], core.stats()
+            finally:
+                gate.set()
+
+        streamed, stats = run(with_core(body, service=svc))
+        if degrade:
+            assert all(r["degraded"] is True for r in streamed)
+            assert all(r["result"]["engine"] == "degraded" for r in streamed)
+            assert stats["degraded"] == 2
+        else:
+            assert [r["error"]["kind"] for r in streamed] == ["timeout", "timeout"]
+        assert [dumps(r) for r in streamed] == threaded
+        # The deadline is the job's, as on the threaded endpoint.
+        assert stats["executor"]["timeout"] == 1
+        assert stats["batch"]["grouped_runs"] == 1
 
     def test_non_array_body_raises_before_streaming(self, payload):
         async def body(svc, core):

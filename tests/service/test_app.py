@@ -6,17 +6,20 @@ import time
 
 import pytest
 
+from repro import exceptions
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceError
 from repro.service import app as app_module
 from repro.service import codec
 from repro.service.app import (
     DEFAULT_ALGORITHM,
+    ERROR_STATUS,
     PROBLEM_MEMO_SIZE,
     SchedulingService,
     error_payload,
 )
 from repro.service.codec import dumps
+from repro.service.router import _body_status
 
 
 @pytest.fixture
@@ -51,11 +54,11 @@ def calls(monkeypatch):
 
 class TestParseRequest:
     def test_defaults(self, service, request_payload):
-        parsed = service.complete(service.parse_head(request_payload))
-        assert parsed.algorithm == DEFAULT_ALGORITHM
-        assert parsed.budget == 57.0
-        assert parsed.timeout is None
-        assert parsed.problem.workflow.num_modules == 8
+        keyed = service.parse_head(request_payload)
+        assert keyed.algorithm == DEFAULT_ALGORITHM
+        assert keyed.budget == 57.0
+        assert keyed.timeout is None
+        assert service._problems.problem(keyed).workflow.num_modules == 8
 
     def test_missing_problem_rejected(self, service):
         with pytest.raises(ServiceError, match="problem"):
@@ -223,7 +226,7 @@ class TestProblemMemo:
         with SchedulingService(max_workers=8, queue_size=8, cache_size=32) as svc:
             # decode once up front, leaving the lazy matrices and graph
             # index for the concurrent solves to build on the shared problem
-            svc.complete(svc.parse_head(dict(payload, budget=0.0)))
+            svc._problems.problem(svc.parse_head(dict(payload, budget=0.0)))
             barrier = threading.Barrier(len(budgets))
             results = [None] * len(budgets)
 
@@ -496,3 +499,53 @@ class TestErrorPayload:
         )
         assert error_payload(ServiceError("x"))["error"]["kind"] == "bad_request"
         assert error_payload(RuntimeError("x"))["error"]["kind"] == "internal"
+
+
+#: One instance of every exception class, with the error kind and HTTP
+#: status each has always answered with.
+ERROR_CASES = [
+    (exceptions.ReproError("x"), "bad_request", 400),
+    (exceptions.WorkflowValidationError("x"), "bad_request", 400),
+    (exceptions.CatalogError("x"), "bad_request", 400),
+    (exceptions.ConfigurationError("x"), "bad_request", 400),
+    (exceptions.ScheduleError("x"), "bad_request", 400),
+    (exceptions.InfeasibleBudgetError(1.0, 2.0), "infeasible_budget", 400),
+    (exceptions.SimulationError("x"), "bad_request", 400),
+    (exceptions.ExperimentError("x"), "bad_request", 400),
+    (exceptions.LintError("x"), "bad_request", 400),
+    (exceptions.ServiceError("x"), "bad_request", 400),
+    (exceptions.ServiceOverloadedError(4), "overloaded", 503),
+    (exceptions.ServiceTimeoutError(1.0), "timeout", 504),
+    (exceptions.TransientServiceError("x"), "upstream_unavailable", 503),
+    (exceptions.LiveWorkflowError("x"), "bad_request", 400),
+    (exceptions.LiveLogCorruptionError("x", workflow_id="w"), "internal", 500),
+    (exceptions.StaleEpochError("w", epoch=1, observed=2), "conflict", 409),
+    (exceptions.UnknownWorkflowError("w"), "not_found", 404),
+    (exceptions.EventConflictError("x", workflow_id="w"), "conflict", 409),
+    (exceptions.CircuitOpenError("n"), "upstream_unavailable", 503),
+    (RuntimeError("x"), "internal", 500),
+]
+
+
+class TestErrorStatus:
+    """One kind → status table behind every front end and the router."""
+
+    @pytest.mark.parametrize(
+        "exc,kind,status", ERROR_CASES, ids=[type(c[0]).__name__ for c in ERROR_CASES]
+    )
+    def test_status_of_every_exception(self, exc, kind, status):
+        payload = error_payload(exc)
+        assert payload["error"]["kind"] == kind
+        assert ERROR_STATUS[kind] == status
+        # The router answers a relayed error body with the same status.
+        assert _body_status(payload) == status
+
+    def test_table_covers_every_exception_class(self):
+        classes = {
+            cls
+            for cls in vars(exceptions).values()
+            if isinstance(cls, type)
+            and issubclass(cls, BaseException)
+            and cls.__module__ == exceptions.__name__
+        }
+        assert classes <= {type(exc) for exc, _, _ in ERROR_CASES}

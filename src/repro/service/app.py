@@ -71,7 +71,7 @@ from repro.live.store import LiveWorkflowManager, PeerLink
 from repro.service import codec
 from repro.service.cache import ResultCache
 from repro.service.executor import JobExecutor, percentile
-from repro.service.keys import RequestKey, params_hash, problem_hash
+from repro.service.keys import RequestKey, once_per_object, params_hash, problem_hash
 
 __all__ = [
     "BatchSlot",
@@ -388,7 +388,12 @@ class SchedulingService:
     # Request parsing
     # ------------------------------------------------------------------ #
 
-    def parse_head(self, payload: Mapping[str, Any]) -> KeyedRequest:
+    def parse_head(
+        self,
+        payload: Mapping[str, Any],
+        *,
+        entries: dict[int, tuple[Any, _ProblemEntry]] | None = None,
+    ) -> KeyedRequest:
         """Validate a request and compute its key, deferring the decode.
 
         Request shape::
@@ -407,6 +412,12 @@ class SchedulingService:
         when the exact payload is memoized).  Both front ends probe the
         cache on the returned key; a miss is decoded on its executor
         worker.
+
+        ``entries`` is one batch's identity map from problem object to
+        memo entry: items that share a parsed problem object (as
+        :func:`~repro.service.codec.loads` gives byte-identical batch
+        problems) look the memo up, and fingerprint the payload, once
+        between them.
         """
         if not isinstance(payload, Mapping):
             raise ServiceError("request body must be a JSON object")
@@ -452,7 +463,7 @@ class SchedulingService:
                     f"timeout must be a number, got {timeout!r}"
                 ) from None
 
-        entry = self._problems.entry(problem_payload)
+        entry = once_per_object(entries, problem_payload, self._problems.entry)
         # Hash the *full* effective knob set (not just the client-supplied
         # subset) so explicit defaults and omitted defaults collide.
         key = RequestKey(
@@ -655,7 +666,8 @@ class SchedulingService:
         blocks on a job: the threaded :meth:`solve_batch` then blocks on
         the slots, the asyncio core awaits them.  Per item, in order:
 
-        * a payload that fails to parse answers its error;
+        * a payload that fails to parse answers its error; items that
+          share one problem object look its memo entry up once;
         * **dedupe** — an item whose request key (same problem,
           algorithm, knobs *and* budget) appeared earlier copies that
           occurrence's response, marked ``deduped: true``;
@@ -677,10 +689,11 @@ class SchedulingService:
             raise ServiceError("'requests' must be an array of solve requests")
         slots: list[BatchSlot] = []
         first_seen: dict[RequestKey, int] = {}
+        entries: dict[int, tuple[Any, _ProblemEntry]] = {}
         jobs: dict[object, list[tuple[BatchSlot, KeyedRequest]]] = {}
         for idx, payload in enumerate(payloads):
             try:
-                keyed = self.parse_head(payload)
+                keyed = self.parse_head(payload, entries=entries)
             except Exception as exc:
                 slots.append(BatchSlot(response=error_payload(exc)))
                 continue

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Mapping
+import re
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.core.problem import MedCCProblem
@@ -69,16 +70,150 @@ def dumps(payload: Mapping[str, Any]) -> str:
 
 
 def loads(text: str | bytes) -> dict[str, Any]:
-    """Parse JSON text into a dict, mapping parse errors to ServiceError."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ServiceError(f"malformed JSON payload: {exc}") from exc
+    """Parse JSON text into a dict, mapping parse errors to ServiceError.
+
+    The result always equals ``json.loads(text)``.  One wire-format fact
+    is used on the way: in a ``/v1/solve_batch`` body (an object whose
+    first key is ``requests``), items of the top-level ``requests`` array
+    whose ``problem`` values are byte-identical object texts get one
+    shared parsed object, so a budget sweep over one workflow parses its
+    problem once, not once per item.  The shared object must not be
+    mutated; nothing in the service does.  Any other body, and any body
+    the batch walker does not expect, is parsed by plain ``json.loads``,
+    so every error message is ``json.loads``'s own.
+    """
+    payload = _loads_batch(text)
+    if payload is None:
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ServiceError(f"malformed JSON payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise ServiceError(
             f"expected a JSON object at the top level, got {type(payload).__name__}"
         )
     return payload
+
+
+_scan_value = json.JSONDecoder().scan_once
+_scan_string = json.decoder.scanstring
+_skip_space = json.decoder.WHITESPACE.match
+
+#: The head of a batch body: an object whose first key is ``requests``.
+_BATCH_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"requests"')
+_BATCH_HEAD_BYTES = re.compile(_BATCH_HEAD.pattern.encode())
+
+#: Distinct ``problem`` texts one batch body compares later items against.
+#: Bounds the compares per item; a body cycling through more problems
+#: than this only parses the extra ones again.
+_SHARED_PROBLEM_TEXTS = 8
+
+
+def _loads_batch(raw: object) -> dict[str, Any] | None:
+    """``json.loads(raw)`` for a batch body with shared problems, else ``None``.
+
+    ``None`` means "parse it the plain way": the body's first key is not
+    ``"requests"`` (a check that reads only the head, so a ``/v1/solve``
+    body costs nothing extra), or the walker met something it does not
+    expect (malformed JSON included, so ``json.loads`` reports the
+    error).  Bytes are decoded as ``json.loads`` decodes them.
+    """
+    if isinstance(raw, (bytes, bytearray)):
+        if _BATCH_HEAD_BYTES.match(raw) is None:
+            return None
+        try:
+            text = raw.decode(json.detect_encoding(raw), "surrogatepass")
+        except UnicodeDecodeError:
+            return None
+    elif isinstance(raw, str) and _BATCH_HEAD.match(raw) is not None:
+        text = raw
+    else:
+        return None
+
+    # An object text is prefix-free: a later item whose text starts with
+    # a parsed problem's exact text holds the same value.
+    seen: list[tuple[str, Any]] = []
+
+    def problem(i: int) -> tuple[Any, int]:
+        for known, value in seen:
+            if text.startswith(known, i):
+                return value, i + len(known)
+        value, end = _scan_value(text, i)
+        if len(seen) < _SHARED_PROBLEM_TEXTS:
+            seen.append((text[i:end], value))
+        return value, end
+
+    def item_member(key: str, i: int) -> tuple[Any, int]:
+        if key == "problem" and text.startswith("{", i):
+            return problem(i)
+        return _scan_value(text, i)
+
+    def item(i: int) -> tuple[Any, int]:
+        if text.startswith("{", i):
+            return _scan_object(text, i, item_member)
+        return _scan_value(text, i)
+
+    def top_member(key: str, i: int) -> tuple[Any, int]:
+        if key == "requests" and text.startswith("[", i):
+            return _scan_array(text, i, item)
+        return _scan_value(text, i)
+
+    try:
+        payload, end = _scan_object(text, _skip_space(text, 0).end(), top_member)
+    except (ServiceError, ValueError, StopIteration, RecursionError):
+        return None
+    if _skip_space(text, end).end() != len(text):
+        return None
+    return payload
+
+
+def _scan_object(
+    text: str, i: int, member: Callable[[str, int], tuple[Any, int]]
+) -> tuple[dict[str, Any], int]:
+    """The object whose ``{`` is at ``text[i]``; ``member(key, j)`` scans each value.
+
+    Duplicate keys keep the last value, as ``json.loads`` does.  Raises
+    :class:`ServiceError` (or the scanner's ``ValueError`` or
+    ``StopIteration``) on anything else.
+    """
+    obj: dict[str, Any] = {}
+    i = _skip_space(text, i + 1).end()
+    if text.startswith("}", i):
+        return obj, i + 1
+    while True:
+        if not text.startswith('"', i):
+            raise ServiceError("expected a key")
+        key, i = _scan_string(text, i + 1)
+        i = _skip_space(text, i).end()
+        if not text.startswith(":", i):
+            raise ServiceError("expected ':'")
+        value, i = member(key, _skip_space(text, i + 1).end())
+        obj[key] = value
+        i = _skip_space(text, i).end()
+        if text.startswith("}", i):
+            return obj, i + 1
+        if not text.startswith(",", i):
+            raise ServiceError("expected ',' or '}'")
+        i = _skip_space(text, i + 1).end()
+
+
+def _scan_array(
+    text: str, i: int, element: Callable[[int], tuple[Any, int]]
+) -> tuple[list[Any], int]:
+    """The array whose ``[`` is at ``text[i]``; ``element(j)`` scans each item."""
+    items: list[Any] = []
+    i = _skip_space(text, i + 1).end()
+    if text.startswith("]", i):
+        return items, i + 1
+    while True:
+        value, i = element(i)
+        items.append(value)
+        i = _skip_space(text, i).end()
+        if text.startswith("]", i):
+            return items, i + 1
+        if not text.startswith(",", i):
+            raise ServiceError("expected ',' or ']'")
+        i = _skip_space(text, i + 1).end()
 
 
 def _envelope(kind: str, body: Mapping[str, Any]) -> dict[str, Any]:

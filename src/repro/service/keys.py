@@ -23,8 +23,8 @@ derives the file name for the disk cache tier.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
-from typing import Any, NamedTuple
+from collections.abc import Callable, Mapping
+from typing import Any, NamedTuple, TypeVar
 
 from repro.core.problem import MedCCProblem
 from repro.core.serialize import problem_to_dict
@@ -39,7 +39,10 @@ __all__ = [
     "request_key",
     "workflow_id_digest",
     "derive_workflow_id",
+    "once_per_object",
 ]
+
+_T = TypeVar("_T")
 
 
 def _sha256(text: str) -> str:
@@ -107,6 +110,24 @@ def canonical_problem_payload(
 def problem_hash(problem: MedCCProblem | Mapping[str, Any]) -> str:
     """SHA-256 content hash of the canonical instance payload."""
     return _sha256(dumps(canonical_problem_payload(problem)))
+
+
+def once_per_object(
+    seen: dict[int, tuple[Any, _T]] | None, obj: Any, compute: Callable[[Any], _T]
+) -> _T:
+    """``compute(obj)``, run once per object identity within ``seen``.
+
+    ``seen`` is an identity map scoped to one call (one batch): items
+    that share a parsed problem object share its digest or memo entry
+    instead of recomputing it.  It holds each object, so an id is never
+    reused while the map lives.  ``None`` computes every time.
+    """
+    if seen is None:
+        return compute(obj)
+    held = seen.get(id(obj))
+    if held is None:
+        held = seen[id(obj)] = (obj, compute(obj))
+    return held[1]
 
 
 def params_hash(

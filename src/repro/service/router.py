@@ -70,7 +70,12 @@ from repro.service.http import (
     ServiceClient,
     ServiceRequestHandler,
 )
-from repro.service.keys import derive_workflow_id, problem_hash, workflow_id_digest
+from repro.service.keys import (
+    derive_workflow_id,
+    once_per_object,
+    problem_hash,
+    workflow_id_digest,
+)
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 __all__ = [
@@ -197,7 +202,12 @@ class ShardRouter:
     # Solve path
     # ------------------------------------------------------------------ #
 
-    def solve(self, payload: dict[str, Any]) -> dict[str, Any]:
+    def solve(
+        self,
+        payload: dict[str, Any],
+        *,
+        digests: dict[int, tuple[Any, str]] | None = None,
+    ) -> dict[str, Any]:
         """Route one solve request; returns the node's response body.
 
         Raises :class:`~repro.exceptions.TransientServiceError` when the
@@ -205,11 +215,15 @@ class ShardRouter:
         front-end maps it to 503 + ``Retry-After``), and
         :class:`~repro.exceptions.ServiceError` for malformed payloads
         (400 — never retried).
+
+        ``digests`` is one batch's identity map from problem object to
+        ``problem_hash``, so items that share a problem object hash it
+        once.
         """
         problem_payload = payload.get("problem")
         if not isinstance(problem_payload, dict):
             raise ServiceError("request is missing the 'problem' object")
-        digest = problem_hash(problem_payload)
+        digest = once_per_object(digests, problem_payload, problem_hash)
         with self._lock:
             self._counts["routed"] += 1
             cache_probable = digest in self._seen_hashes
@@ -229,13 +243,19 @@ class ShardRouter:
         return response
 
     def solve_batch(self, payloads: Any) -> list[dict[str, Any]]:
-        """Route a batch; responses in input order, errors isolated per item."""
+        """Route a batch; responses in input order, errors isolated per item.
+
+        Items that share one problem object (as
+        :func:`~repro.service.codec.loads` gives byte-identical batch
+        problems) hash it once.
+        """
         if not isinstance(payloads, (list, tuple)):
             raise ServiceError("'requests' must be an array of solve requests")
+        digests: dict[int, tuple[Any, str]] = {}
         responses: list[dict[str, Any]] = []
         for item in payloads:
             try:
-                responses.append(self.solve(item))
+                responses.append(self.solve(item, digests=digests))
             except ReproError as exc:
                 responses.append(error_payload(exc))
         return responses

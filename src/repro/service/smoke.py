@@ -14,7 +14,9 @@ permuted — then the unpermuted workload at a new budget, and asserts:
 * a ``/v1/solve_batch`` of three new budgets plus a duplicate is
   byte-identical to an in-process ``solve_batch``, and ran the three
   misses as one grouped job (``batch.grouped_items >= 3``,
-  ``batch.deduped >= 1``) — on either front end;
+  ``batch.deduped >= 1``) — on either front end — with one problem-memo
+  lookup for its one problem (``problems.hash_hits + hash_misses`` grew
+  by exactly 1);
 * ``/v1/stats`` reports at least one hit and one miss.
 
 The final ``/v1/stats`` body is written to ``--out`` so CI can upload it
@@ -55,6 +57,11 @@ def _permuted(payload: dict[str, Any]) -> dict[str, Any]:
     permuted["workflow"]["edges"] = list(reversed(permuted["workflow"]["edges"]))
     permuted["catalog"] = list(reversed(permuted["catalog"]))
     return permuted
+
+
+def _memo_lookups(stats: dict[str, Any]) -> int:
+    """Problem-memo lookups so far: each is a hit or a miss."""
+    return int(stats["problems"]["hash_hits"] + stats["problems"]["hash_misses"])
 
 
 def _fail(message: str) -> int:
@@ -150,6 +157,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         batch = [
             {"problem": payload, "budget": args.budget + step} for step in (2, 3, 4, 2)
         ]
+        lookups_before = _memo_lookups(client.stats()["stats"])
         served_batch = client.solve_batch(batch)
         with SchedulingService(max_workers=1) as local:
             expected_batch = {"status": "ok", "results": local.solve_batch(batch)}
@@ -163,6 +171,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         stats = client.stats()["stats"]
         if stats["batch"]["grouped_items"] < 3 or stats["batch"]["deduped"] < 1:
             return _fail(f"batch misses were not grouped and deduped: {stats['batch']}")
+        if _memo_lookups(stats) != lookups_before + 1:
+            return _fail(
+                "a batch on one problem should look the problem memo up once: "
+                f"{lookups_before} lookups before, {stats['problems']} after"
+            )
         cache = stats["cache"]
         if cache["hits"] < 1 or cache["misses"] < 1:
             return _fail(f"expected >=1 hit and >=1 miss, got {cache}")

@@ -234,6 +234,29 @@ class TestRouting:
         assert responses[1]["status"] == "error"
         assert responses[1]["error"]["kind"] == "bad_request"
 
+    def test_solve_batch_hashes_a_shared_problem_once(self, monkeypatch):
+        from repro.service import codec
+        from repro.service import router as router_module
+
+        hashed = []
+
+        def counting_hash(payload):
+            hashed.append(payload)
+            return problem_hash(payload)
+
+        monkeypatch.setattr(router_module, "problem_hash", counting_hash)
+        a = FakeClient()
+        router = make_router([a])
+        tag = tag_for_shard(router, 0)
+        # byte-identical problem texts parse into one shared object
+        body = codec.dumps(
+            {"requests": [dict(request_for(tag), budget=float(b)) for b in range(16)]}
+        )
+        responses = router.solve_batch(codec.loads(body)["requests"])
+        assert [r["status"] for r in responses] == ["ok"] * 16
+        assert len(hashed) == 1 and len(a.calls) == 16
+        assert [call["budget"] for call in a.calls] == [float(b) for b in range(16)]
+
     def test_solve_batch_requires_a_list(self):
         router = make_router([FakeClient()])
         with pytest.raises(ServiceError, match="array"):

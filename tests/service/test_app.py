@@ -459,6 +459,85 @@ class TestBatchDedupeAndGrouping:
             assert svc.stats()["degraded"] == 3
 
 
+class TestBatchMemoLookups:
+    """A batch looks the problem memo up once per distinct problem.
+
+    Bodies go through :func:`codec.loads`, as on either HTTP front end,
+    so byte-identical problem texts arrive as one shared object.
+    """
+
+    @pytest.fixture
+    def sweeps(self, example_problem, wrf_problem):
+        example = problem_to_dict(example_problem)
+        wrf = problem_to_dict(wrf_problem)
+        return (
+            [{"problem": example, "budget": 48.0 + 16.0 * i / 15} for i in range(16)],
+            [{"problem": wrf, "budget": 130.0 + 13.5 * i} for i in range(8)],
+        )
+
+    @staticmethod
+    def parsed(items):
+        return codec.loads(dumps({"requests": items}))["requests"]
+
+    @staticmethod
+    def lookups(stats):
+        return stats["problems"]["hash_hits"] + stats["problems"]["hash_misses"]
+
+    @staticmethod
+    def serial(items):
+        with SchedulingService(max_workers=1, queue_size=8, cache_size=64) as solo:
+            return [dumps(solo.solve(json.loads(json.dumps(item)))) for item in items]
+
+    @staticmethod
+    def streamed(items):
+        """The async core's ``/v1/solve_batch`` over a fresh service."""
+        import asyncio
+
+        from repro.service.aio.core import AsyncServiceCore
+
+        async def run(svc):
+            core = AsyncServiceCore(svc)
+            try:
+                stream = core.solve_batch_stream(items)
+                return [dumps(r) async for r in stream], core.stats()
+            finally:
+                await core.aclose()
+
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=64) as svc:
+            return asyncio.run(run(svc))
+
+    def threaded(self, items):
+        with SchedulingService(max_workers=2, queue_size=8, cache_size=64) as svc:
+            return [dumps(r) for r in svc.solve_batch(items)], svc.stats()
+
+    @pytest.mark.parametrize("front_end", ["threaded", "streamed"])
+    def test_one_problem_is_looked_up_once(self, sweeps, front_end):
+        items = sweeps[0]
+        responses, stats = getattr(self, front_end)(self.parsed(items))
+        assert self.lookups(stats) == 1
+        assert stats["batch"] == {"deduped": 0, "grouped_items": 16, "grouped_runs": 1}
+        assert responses == self.serial(items)
+
+    @pytest.mark.parametrize("front_end", ["threaded", "streamed"])
+    def test_two_problems_are_looked_up_once_each(self, sweeps, front_end):
+        example, wrf = sweeps
+        items = [item for pair in zip(example, wrf) for item in pair] + example[8:]
+        responses, stats = getattr(self, front_end)(self.parsed(items))
+        assert self.lookups(stats) == 2
+        assert stats["problems"]["entries"] == 2
+        assert stats["batch"]["grouped_runs"] == 2
+        assert responses == self.serial(items)
+
+    def test_batch_and_solve_share_one_memo_entry(self, service, sweeps):
+        items = sweeps[0]
+        service.solve_batch(self.parsed(items[:4]))
+        single = codec.loads(dumps(dict(items[0], budget=63.0)))
+        assert service.solve(single)["cache_hit"] is False
+        problems = service.stats()["problems"]
+        assert (problems["entries"], problems["hash_misses"], problems["hash_hits"]) == (1, 1, 1)
+        assert (problems["decode_misses"], problems["decode_hits"]) == (1, 1)
+
+
 class TestStats:
     def test_stats_shape(self, service, request_payload):
         service.solve(request_payload)

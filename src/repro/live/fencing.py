@@ -50,17 +50,15 @@ class WriterLease:
         The highest epoch seen in the log (``max`` over fence and
         checkpoint records; ``1`` once a registration exists).
     size:
-        Log size in bytes after our last append/scan.  ``-1`` = unknown,
-        which forces the next lease check onto the slow scan path.
-    records:
-        Complete records in the log at our last observation (drives the
-        replication base offset).
+        Log size in bytes after our last append/scan — the one log
+        position: it also gives the byte offset replication pushes at.
+        ``-1`` = unknown, which forces the next lease check onto the
+        slow scan path and the next push to a full resync.
     """
 
     epoch: int = 0
     observed: int = 0
     size: int = -1
-    records: int = 0
 
 
 def fence_record(epoch: int, node: str | None) -> dict[str, Any]:

@@ -5,10 +5,10 @@ goes through a :class:`LogIO` instance, so the durability contract can
 be tested against *simulated* hardware failures instead of hoped-for
 ones:
 
-* :class:`LogIO` — the real thing: appends with optional ``fsync``
-  (directory ``fsync`` when the append creates the file), whole-file
+* :class:`LogIO` — the real thing: ``fsync``'d appends (directory
+  ``fsync`` when the append creates the file), ``fsync``'d whole-file
   writes, atomic ``os.replace`` with directory sync, torn-tail
-  truncation.
+  truncation.  Every write is synced; there is no unsynced mode.
 * :class:`FaultyLogIO` — a wrapper that (a) **counts crash-point
   boundaries** — one before the first byte of every durable mutation,
   one after each partial write, one between write and fsync, one after
@@ -69,42 +69,38 @@ class LogIO:
         """Binary read handle; raises :class:`FileNotFoundError`."""
         return open(path, "rb")
 
-    def append(self, path: Path, data: bytes, *, fsync: bool = True) -> int:
+    def append(self, path: Path, data: bytes) -> int:
         """Append ``data`` (complete ``\\n``-terminated lines).
 
         Returns the offset just past ``data`` as the append handle saw it,
         so ``offset - len(data)`` is where the record started even if
         another writer's bytes landed before it or after it (a later
-        ``stat`` would count those too).  When ``fsync`` is set the
-        record is forced to stable storage before returning — and when
-        the append *creates* the file, the parent directory entry is
-        synced too, so the file itself survives a crash right after the
-        first event.
+        ``stat`` would count those too).  The record is forced to stable
+        storage before returning — and when the append *creates* the
+        file, the parent directory entry is synced too, so the file
+        itself survives a crash right after the first event.
         """
         existed = path.exists()
         with open(path, "ab") as handle:
             handle.write(data)
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
             end = handle.tell()
-        if fsync and not existed:
+        if not existed:
             self.fsync_dir(path.parent)
         return end
 
-    def write_file(self, path: Path, data: bytes, *, fsync: bool = True) -> None:
-        """Write a whole file (used for compaction/pull staging files)."""
+    def write_file(self, path: Path, data: bytes) -> None:
+        """Write and sync a whole file (compaction/pull staging files)."""
         with open(path, "wb") as handle:
             handle.write(data)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
+            handle.flush()
+            os.fsync(handle.fileno())
 
-    def replace(self, src: Path, dst: Path, *, fsync: bool = True) -> None:
-        """Atomic rename; with ``fsync``, the directory entry is synced."""
+    def replace(self, src: Path, dst: Path) -> None:
+        """Atomic rename; the directory entry is synced."""
         os.replace(src, dst)
-        if fsync:
-            self.fsync_dir(dst.parent)
+        self.fsync_dir(dst.parent)
 
     def remove(self, path: Path) -> None:
         try:
@@ -223,7 +219,7 @@ class FaultyLogIO(LogIO):
     # Durable mutations (each one a crash-point ladder)
     # ------------------------------------------------------------------ #
 
-    def append(self, path: Path, data: bytes, *, fsync: bool = True) -> int:
+    def append(self, path: Path, data: bytes) -> int:
         rng = self._draw()
         self._boundary(f"append:{path.name}:pre")
         partial = max(1, int(len(data) * self.partial_fraction))
@@ -239,18 +235,17 @@ class FaultyLogIO(LogIO):
             except SimulatedCrash:
                 os.fsync(handle.fileno())  # the torn bytes do reach disk
                 raise
-            if fsync:
-                self._maybe_os_error(
-                    rng, self.fsync_error_prob, "injected_fsync_errors", "fsync"
-                )
-                os.fsync(handle.fileno())
+            self._maybe_os_error(
+                rng, self.fsync_error_prob, "injected_fsync_errors", "fsync"
+            )
+            os.fsync(handle.fileno())
             end = handle.tell()
-        if fsync and not existed:
+        if not existed:
             self.fsync_dir(path.parent)
         self._boundary(f"append:{path.name}:post")
         return end
 
-    def write_file(self, path: Path, data: bytes, *, fsync: bool = True) -> None:
+    def write_file(self, path: Path, data: bytes) -> None:
         self._draw()
         self._boundary(f"write:{path.name}:pre")
         partial = max(1, int(len(data) * self.partial_fraction))
@@ -265,23 +260,18 @@ class FaultyLogIO(LogIO):
             except SimulatedCrash:
                 os.fsync(handle.fileno())
                 raise
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         self._boundary(f"write:{path.name}:post")
 
-    def replace(self, src: Path, dst: Path, *, fsync: bool = True) -> None:
+    def replace(self, src: Path, dst: Path) -> None:
         rng = self._draw()
         self._boundary(f"replace:{dst.name}:pre")
         self._maybe_os_error(
             rng, self.replace_error_prob, "injected_replace_errors", "replace"
         )
         os.replace(src, dst)
-        try:
-            self._boundary(f"replace:{dst.name}:pre-dirsync")
-        except SimulatedCrash:
-            raise
-        if fsync:
-            self.fsync_dir(dst.parent)
+        self._boundary(f"replace:{dst.name}:pre-dirsync")
+        self.fsync_dir(dst.parent)
         self._boundary(f"replace:{dst.name}:post")
 
     def truncate_torn_tail(self, path: Path) -> int:

@@ -46,12 +46,15 @@ event protocol:
   stays bounded.  Completed workflows idle past the ``retention``
   window are archived, then expired.
 * **Peer replication**: accepted records are pushed write-through to
-  sibling nodes (``POST /v1/workflows/<id>/sync``); a push failure or
-  base mismatch falls back to a full resync on the next write.  On
-  recovery, a *missing or corrupt* local log is rebuilt from the first
-  peer that can serve it (``GET …/sync``) — the damaged log is
-  quarantined beside the live one, never silently deleted — so a lost
-  disk answers the stream instead of a terminal 500.
+  sibling nodes (``POST /v1/workflows/<id>/sync``) at the byte offset
+  where they start in the sender's log — the one log position, the
+  writer lease's too.  The receiver checks it against its file size
+  (one ``stat``, no read), so a replica stays a byte-identical copy; a
+  push failure or offset mismatch falls back to a full resync on the
+  next write.  On recovery, a *missing or corrupt* local log is rebuilt
+  from the first peer that can serve it (``GET …/sync``) — the damaged
+  log is quarantined beside the live one, never silently deleted — so
+  a lost disk answers the stream instead of a terminal 500.
 * **Injectable I/O** (:mod:`repro.live.iofault`): every durable byte
   goes through a :class:`~repro.live.iofault.LogIO`, so the crash-point
   harness (:mod:`repro.live.crashharness`) can kill the node at every
@@ -115,10 +118,10 @@ class PeerLink(Protocol):
         ...
 
     def push(
-        self, workflow_id: str, base_records: int | None, records: list[str]
+        self, workflow_id: str, base_offset: int | None, records: list[str]
     ) -> int:
-        """Replicate ``records`` after the first ``base_records`` lines
-        (``None`` = full reset); returns the peer's new record count."""
+        """Append ``records`` at byte ``base_offset`` of the peer's copy
+        (``None`` = full reset); returns the peer's log size after it."""
         ...
 
 
@@ -190,7 +193,7 @@ class LiveWorkflowManager:
         self._io = io if io is not None else LogIO()
         self._node = node
         self._peers: list[PeerLink] = list(peers)
-        #: (peer index, workflow id) -> records confirmed replicated.
+        #: (peer index, workflow id) -> log bytes confirmed replicated.
         self._peer_acked: dict[tuple[int, str], int] = {}
         if isinstance(checkpoint_interval, bool) or not isinstance(
             checkpoint_interval, int
@@ -315,7 +318,7 @@ class LiveWorkflowManager:
                 self._append_line(
                     parsed.workflow_id, new_entry, line, claim_epoch=1
                 )
-                self._replicate(parsed.workflow_id, new_entry, [line])
+                self._replicate(parsed.workflow_id, new_entry, line)
                 return workflow.registration_response()
         # Lost a registration race; answer from the surviving entry.
         return self._replay_registration(parsed, existing)
@@ -405,7 +408,7 @@ class LiveWorkflowManager:
             response = entry.workflow.commit(event, digest)
             if self._live_dir is not None:
                 entry.events_since_checkpoint += 1
-                self._replicate(workflow_id, entry, [line])
+                self._replicate(workflow_id, entry, line)
                 compacted = self._maybe_checkpoint(workflow_id, entry)
         with self._lock:
             self._events += 1
@@ -459,7 +462,8 @@ class LiveWorkflowManager:
             max_epoch = max(max_epoch, entry.lease.epoch, entry.lease.observed)
             last_checkpoint_seq = max(last_checkpoint_seq, entry.checkpoint_seq)
             for index in range(len(self._peers)):
-                behind = entry.lease.records - acked.get((index, workflow_id), 0)
+                # Unacked log bytes; an unknown size (-1) counts none.
+                behind = entry.lease.size - acked.get((index, workflow_id), 0)
                 if behind > 0:
                     lag += behind
         return {
@@ -508,7 +512,6 @@ class LiveWorkflowManager:
         end = self._io.append(path, data)
         landed = lease.size < 0 or end - len(data) == expected
         lease.size = end if landed else -1
-        lease.records += 1
         if claim_epoch is not None:
             lease.epoch = claim_epoch
             lease.observed = max(lease.observed, claim_epoch)
@@ -557,7 +560,7 @@ class LiveWorkflowManager:
         self._append_line(workflow_id, entry, line, claim_epoch=epoch)
         with self._lock:
             self._epoch_claims += 1
-        self._replicate(workflow_id, entry, [line])
+        self._replicate(workflow_id, entry, line)
 
     # ------------------------------------------------------------------ #
     # Checkpoints, compaction, retention
@@ -598,10 +601,9 @@ class LiveWorkflowManager:
             entry.events_since_checkpoint = 0
             with self._lock:
                 self._checkpoints += 1
-            self._replicate(workflow_id, entry, [checkpoint_line])
+            self._replicate(workflow_id, entry, checkpoint_line)
             return False
         entry.lease.size = len(data)
-        entry.lease.records = 2
         entry.checkpoint_seq = entry.workflow.last_seq
         entry.events_since_checkpoint = 0
         with self._lock:
@@ -678,47 +680,43 @@ class LiveWorkflowManager:
     # ------------------------------------------------------------------ #
 
     def _replicate(
-        self, workflow_id: str, entry: _Entry, lines: list[str] | None
+        self, workflow_id: str, entry: _Entry, line: str | None
     ) -> None:
         """Write-through push to every peer; best-effort.
 
-        ``lines`` are the records just appended (``None`` forces a full
-        resync, e.g. after compaction).  A peer whose confirmed offset
-        does not match our base — or whose push fails — is resynced with
-        the whole log on this or the next write; the local log remains
-        the source of truth either way, and a peer that missed pushes
-        can still pull on demand.
+        ``line`` is the record just appended, ending at the lease's byte
+        offset (``None`` forces a full resync, e.g. after compaction; so
+        does an unknown lease size).  A peer whose confirmed offset does
+        not match the offset where ``line`` starts — or whose push fails
+        — is resynced with the whole log on this or the next write; the
+        local log remains the source of truth either way, and a peer
+        that missed pushes can still pull on demand.
         """
-        if not self._peers or self._live_dir is None:
-            return
         path = self._log_path(workflow_id)
-        if path is None:
+        if not self._peers or path is None:
             return
-        base = None if lines is None else entry.lease.records - len(lines)
+        if entry.lease.size < 0:
+            line = None
+        base = 0 if line is None else entry.lease.size - len(line.encode("utf-8")) - 1
         full: list[str] | None = None
         for index, peer in enumerate(self._peers):
             key = (index, workflow_id)
             with self._lock:
                 acked = self._peer_acked.get(key)
             try:
-                if lines is None or acked != base:
+                if line is None or acked != base:
                     if full is None:
-                        full = [
-                            raw
-                            for _record, raw in self._iter_records(
-                                workflow_id, path
-                            )
-                        ]
-                    count = peer.push(workflow_id, None, full)
+                        full = [raw for _, raw in self._iter_records(workflow_id, path)]
+                    offset = peer.push(workflow_id, None, full)
                 else:
-                    count = peer.push(workflow_id, base, list(lines))
+                    offset = peer.push(workflow_id, base, [line])
             except (ReproError, OSError):
                 with self._lock:
                     self._peer_acked.pop(key, None)
                     self._push_failures += 1
             else:
                 with self._lock:
-                    self._peer_acked[key] = count
+                    self._peer_acked[key] = offset
                     self._pushes += 1
 
     def sync_export(self, workflow_id: str) -> dict[str, Any]:
@@ -744,9 +742,12 @@ class LiveWorkflowManager:
 
         ``{"reset": true, "records": [...]}`` atomically replaces the
         local replica with the sender's full log (temp file +
-        ``os.replace``); ``{"base_records": N, "records": [...]}``
-        appends after the first N records — a count mismatch is a 409,
-        telling the sender to fall back to a full resync.
+        ``os.replace``); ``{"base_offset": N, "records": [...]}``
+        appends at byte ``N`` — after dropping a torn tail, the local
+        log must be exactly ``N`` bytes long (one ``stat``, no read),
+        else a 409 tells the sender to fall back to a full resync.  The
+        ack reports the ``records`` imported and ``offset``, the local
+        log size after the import.
         """
         if not isinstance(workflow_id, str) or not _ID_RE.match(workflow_id):
             raise LiveWorkflowError("sync target workflow id is invalid")
@@ -800,25 +801,25 @@ class LiveWorkflowManager:
                     # rebuilds from it on its next access.
                     self._workflows.pop(workflow_id, None)
                     self._sync_imports += 1
-            total = len(records)
+            offset = len(data)
         else:
-            base = payload.get("base_records")
+            base = payload.get("base_offset")
             if isinstance(base, bool) or not isinstance(base, int) or base < 1:
                 raise LiveWorkflowError(
-                    "sync field 'base_records' must be a positive integer "
+                    "sync field 'base_offset' must be a positive integer "
                     "(or pass \"reset\": true)"
                 )
             with self._sync_lock:
-                current = self._count_records(path)
+                io.truncate_torn_tail(path)
+                current = io.size(path)
                 if current != base:
                     raise EventConflictError(
                         f"sync base mismatch for workflow {workflow_id!r}: "
-                        f"sender appends at record {base}, local log has "
+                        f"sender appends at byte {base}, local log has "
                         f"{current}",
                         workflow_id=workflow_id,
                     )
-                io.truncate_torn_tail(path)
-                io.append(path, data)
+                offset = io.append(path, data)
                 with self._lock:
                     entry = self._workflows.get(workflow_id)
                     self._sync_imports += 1
@@ -826,8 +827,12 @@ class LiveWorkflowManager:
                     # Force this node's next lease check onto the scan
                     # path so it folds the imported records in.
                     entry.lease.size = -1
-            total = base + len(records)
-        return {"status": "ok", "workflow_id": workflow_id, "records": total}
+        return {
+            "status": "ok",
+            "workflow_id": workflow_id,
+            "records": len(records),
+            "offset": offset,
+        }
 
     def _pull_from_peer(self, workflow_id: str, *, quarantine: bool) -> bool:
         """Anti-entropy pull: rebuild the local log from the first peer
@@ -912,23 +917,6 @@ class LiveWorkflowManager:
                     raise _corrupt(workflow_id, "has an unparseable record")
                 yield record, stripped.decode("utf-8")
 
-    def _count_records(self, path: Path) -> int:
-        """Complete (newline-terminated) records currently on disk."""
-        if self._io.size(path) is None:
-            return 0
-        count = 0
-        try:
-            handle = self._io.open_read(path)
-        except FileNotFoundError:
-            return 0
-        with handle:
-            while True:
-                line = handle.readline(MAX_RECORD_BYTES + 1)
-                if not line or not line.endswith(b"\n"):
-                    return count
-                if line.strip():
-                    count += 1
-
     def _find_entry(self, workflow_id: str) -> _Entry | None:
         with self._lock:
             entry = self._workflows.get(workflow_id)
@@ -1007,10 +995,9 @@ class LiveWorkflowManager:
         known = None if entry is None else entry.registration_line
         digest = "" if entry is None else entry.registration_digest
         registered = False
-        records = observed = checkpoint_seq = 0
+        observed = checkpoint_seq = 0
         try:
             for record, raw in self._iter_records(workflow_id, path):
-                records += 1
                 kind = record.get("kind")
                 if kind == "registration":
                     observed = max(observed, 1)
@@ -1070,9 +1057,8 @@ class LiveWorkflowManager:
         except LiveWorkflowError as exc:
             raise _corrupt(workflow_id, f"does not replay: {exc}") from exc
         if entry is not None:
-            lease = entry.lease
-            lease.size, lease.records = size, records
-            lease.observed = max(lease.observed, observed)
+            entry.lease.size = size
+            entry.lease.observed = max(entry.lease.observed, observed)
             entry.checkpoint_seq = max(entry.checkpoint_seq, checkpoint_seq)
             return entry
         if workflow is None or known is None:
@@ -1080,9 +1066,7 @@ class LiveWorkflowManager:
             # acknowledged, so the workflow does not exist yet.
             return None
         new_entry = _Entry(workflow, digest, known)
-        new_entry.lease = WriterLease(
-            epoch=0, observed=observed, size=size, records=records
-        )
+        new_entry.lease = WriterLease(epoch=0, observed=observed, size=size)
         new_entry.checkpoint_seq = checkpoint_seq
         with self._lock:
             entry = self._workflows.setdefault(workflow_id, new_entry)

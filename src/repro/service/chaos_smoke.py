@@ -28,9 +28,10 @@ workflow's on-disk log is **corrupted in place** on the shard owner.
 The fleet must absorb both: the router's retry/failover sweep plus the
 append-before-apply event log land every event exactly once, the
 corrupted log is quarantined and rebuilt from the peer replica (or
-fenced off and reset-pushed by the failover writer), and the final
-``last_seq``/``revision`` match a fault-free in-process reference run —
-with zero client-visible errors throughout.
+fenced off and reset-pushed by the failover writer), the final
+``last_seq``/``revision`` match a fault-free in-process reference run,
+and both nodes' ``<id>.jsonl`` replicas end byte-identical — with zero
+client-visible errors throughout.
 
 A third **async-core phase** boots a separate fleet of ``repro serve
 --async`` nodes (single-flight coalescing) behind fresh chaos proxies
@@ -551,13 +552,22 @@ def main(argv: Sequence[str] | None = None) -> int:
             # The healed fleet must have purged the corruption: the bad
             # line lives on only in a quarantine file, never in a log a
             # node would replay.
-            for live_dir in live_dirs:
-                log = live_dir / f"{wid}.jsonl"
-                if log.exists() and "CHAOS BIT ROT" in log.read_text():
+            logs = [live_dir / f"{wid}.jsonl" for live_dir in live_dirs]
+            replicas = [log.read_bytes() if log.exists() else b"" for log in logs]
+            for log, data in zip(logs, replicas):
+                if b"CHAOS BIT ROT" in data:
                     errors.append(
                         f"corrupted record still live in {log} - the fleet "
                         "never healed it"
                     )
+            # Replication pushes at byte offsets, so the two replicas
+            # must end as byte-identical copies of one log.
+            live_stats["replica_bytes"] = [len(data) for data in replicas]
+            if not replicas[0] or replicas[0] != replicas[1]:
+                errors.append(
+                    f"replicas of {wid} are not byte-identical after the last "
+                    f"event (sizes {live_stats['replica_bytes']})"
+                )
             live_stats["quarantined"] = sum(
                 1
                 for live_dir in live_dirs
@@ -622,7 +632,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"live phase: {live_stats['events']} events, "
             f"{live_replays} replayed, revision {live_stats.get('revision')} "
             f"matches reference, corrupted log healed "
-            f"({live_stats.get('quarantined', 0)} quarantined); "
+            f"({live_stats.get('quarantined', 0)} quarantined), replicas "
+            f"byte-identical ({live_stats['replica_bytes'][0]} B); "
             f"async phase: {async_stats.get('requests', 0)} requests, "
             f"{async_stats.get('coalesced', 0)} coalesced; "
             f"stats written to {args.out}"

@@ -480,21 +480,21 @@ class HttpPeer:
         )
 
     def push(
-        self, workflow_id: str, base_records: int | None, records: list[str]
+        self, workflow_id: str, base_offset: int | None, records: list[str]
     ) -> int:
         payload: dict[str, Any] = {"records": records}
-        if base_records is None:
+        if base_offset is None:
             payload["reset"] = True
         else:
-            payload["base_records"] = base_records
+            payload["base_offset"] = base_offset
         body = self.client.workflow_sync_push(workflow_id, payload)
         if body.get("status") == "ok":
-            count = body.get("records")
-            if isinstance(count, int) and not isinstance(count, bool):
-                return count
+            offset = body.get("offset")
+            if isinstance(offset, int) and not isinstance(offset, bool):
+                return offset
             raise TransientServiceError(
                 f"peer {self.base_url} acknowledged a sync push without "
-                "a record count"
+                "a log offset"
             )
         error = body.get("error", {})
         if error.get("kind") == "conflict":

@@ -204,7 +204,7 @@ class ShardRouter:
 
     def solve(
         self,
-        payload: dict[str, Any],
+        payload: Any,
         *,
         digests: dict[int, tuple[Any, str]] | None = None,
     ) -> dict[str, Any]:
@@ -220,6 +220,8 @@ class ShardRouter:
         ``problem_hash``, so items that share a problem object hash it
         once.
         """
+        if not isinstance(payload, Mapping):
+            raise ServiceError("request body must be a JSON object")
         problem_payload = payload.get("problem")
         if not isinstance(problem_payload, dict):
             raise ServiceError("request is missing the 'problem' object")

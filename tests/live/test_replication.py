@@ -9,6 +9,7 @@ from repro.exceptions import (
     TransientServiceError,
     UnknownWorkflowError,
 )
+from repro.live.iofault import LogIO
 from repro.live.store import MAX_RECORD_BYTES, LiveWorkflowManager
 from repro.service.codec import dumps
 
@@ -28,15 +29,26 @@ class InProcessPeer:
         except UnknownWorkflowError:
             return None
 
-    def push(self, workflow_id, base_records, records):
+    def push(self, workflow_id, base_offset, records):
         if self.fail:
             raise TransientServiceError("peer down")
         payload = (
             {"reset": True, "records": records}
-            if base_records is None
-            else {"base_records": base_records, "records": records}
+            if base_offset is None
+            else {"base_offset": base_offset, "records": records}
         )
-        return self.manager.sync_import(workflow_id, payload)["records"]
+        return self.manager.sync_import(workflow_id, payload)["offset"]
+
+
+class CountingLogIO(LogIO):
+    """A LogIO that counts how often the log is opened for reading."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    def open_read(self, path):
+        self.reads += 1
+        return super().open_read(path)
 
 
 @pytest.fixture
@@ -95,6 +107,75 @@ class TestWriteThrough:
         ).read_bytes()
         fresh_b = LiveWorkflowManager(live_dir=tmp_path / "b")
         assert dumps(fresh_b.status(wid)) == dumps(node_a.status(wid))
+
+
+class TestByteOffsetPushes:
+    """Pushes carry the sender's byte offset; the receiver only stats."""
+
+    def test_incremental_pushes_never_read_the_receiver_log(
+        self, tmp_path, registration
+    ):
+        receiver_io = CountingLogIO()
+        node_b = LiveWorkflowManager(live_dir=tmp_path / "b", io=receiver_io)
+        node_a = LiveWorkflowManager(
+            live_dir=tmp_path / "a", peers=[InProcessPeer(node_b)]
+        )
+        wid = node_a.register(dict(registration))["workflow_id"]
+        receiver_io.reads = 0
+        for seq in range(1, 21):
+            node_a.event(wid, {"seq": seq, "type": "topup", "amount": 1.0})
+        assert receiver_io.reads == 0
+        stats = node_a.stats()
+        assert stats["pushes"] == 21 and stats["push_failures"] == 0
+        assert stats["replication_lag"] == 0
+        assert node_b.stats()["sync_imports"] == 21
+        assert (tmp_path / "a" / f"{wid}.jsonl").read_bytes() == (
+            tmp_path / "b" / f"{wid}.jsonl"
+        ).read_bytes()
+
+    def test_torn_tail_on_receiver_accepts_the_offset_before_it(
+        self, pair, registration
+    ):
+        node_a, node_b, tmp = pair
+        wid = node_a.register(dict(registration))["workflow_id"]
+        node_a.event(wid, {"seq": 1, "type": "topup", "amount": 1.0})
+        with open(tmp / "b" / f"{wid}.jsonl", "ab") as handle:
+            handle.write(b'{"kind": "event", "torn')  # crash mid-import
+        node_a.event(wid, {"seq": 2, "type": "topup", "amount": 2.0})
+        assert node_a.stats()["push_failures"] == 0
+        assert node_b.stats()["sync_imports"] == 3  # the push was accepted
+        assert (tmp / "a" / f"{wid}.jsonl").read_bytes() == (
+            tmp / "b" / f"{wid}.jsonl"
+        ).read_bytes()
+
+    def test_wrong_offset_conflicts_then_the_next_write_resets(
+        self, pair, registration
+    ):
+        node_a, node_b, tmp = pair
+        wid = node_a.register(dict(registration))["workflow_id"]
+        log_a, log_b = (tmp / node / f"{wid}.jsonl" for node in "ab")
+        size = log_b.stat().st_size
+        record = '{"kind": "fence", "epoch": 2, "node": "x"}'
+        for base in (size - 1, size + 1):
+            with pytest.raises(EventConflictError):
+                node_b.sync_import(wid, {"base_offset": base, "records": [record]})
+        with pytest.raises(EventConflictError):  # no replica at all
+            LiveWorkflowManager(live_dir=tmp / "c").sync_import(
+                wid, {"base_offset": size, "records": [record]}
+            )
+        # The replica grows a record the sender never wrote: the next
+        # incremental push no longer starts at the replica's end.
+        with open(log_b, "a") as handle:
+            handle.write(record + "\n")
+        node_a.event(wid, {"seq": 1, "type": "topup", "amount": 1.0})
+        stats = node_a.stats()
+        assert stats["push_failures"] == 1
+        assert stats["replication_lag"] == log_a.stat().st_size  # bytes
+        assert log_a.read_bytes() != log_b.read_bytes()
+        node_a.event(wid, {"seq": 2, "type": "topup", "amount": 2.0})
+        assert log_a.read_bytes() == log_b.read_bytes()
+        assert node_a.stats()["replication_lag"] == 0
+        assert dumps(node_b.status(wid)) == dumps(node_a.status(wid))
 
 
 class TestPullOnMiss:
@@ -181,9 +262,10 @@ class TestSyncEndpointValidation:
             {"records": ['["a","list"]']},
             {"records": ['{"no_kind": 1}']},
             {"records": ['{"kind": "event"}']},  # append without base
-            {"records": ['{"kind": "event"}'], "base_records": 0},
-            {"records": ['{"kind": "event"}'], "base_records": True},
+            {"records": ['{"kind": "event"}'], "base_offset": 0},
+            {"records": ['{"kind": "event"}'], "base_offset": True},
             {"reset": True, "records": ['{"kind": "event"}']},  # no registration
+            {"records": ['{"kind": "event"}'], "base_offset": "12"},
         ],
     )
     def test_malformed_import_is_400_class(self, tmp_path, payload):
@@ -203,7 +285,7 @@ class TestSyncEndpointValidation:
         with pytest.raises(EventConflictError):
             manager.sync_import(
                 wid,
-                {"base_records": 5, "records": ['{"kind": "fence", "epoch": 2}']},
+                {"base_offset": 5, "records": ['{"kind": "fence", "epoch": 2}']},
             )
 
     def test_import_without_live_dir_is_400_class(self):

@@ -234,6 +234,16 @@ class TestRouting:
         assert responses[1]["status"] == "error"
         assert responses[1]["error"]["kind"] == "bad_request"
 
+    def test_solve_batch_answers_a_non_object_item_bad_request(self):
+        a = FakeClient()
+        router = make_router([a])
+        tag = tag_for_shard(router, 0)
+        responses = router.solve_batch([1, request_for(tag)])
+        assert responses[0]["status"] == "error"
+        assert responses[0]["error"]["kind"] == "bad_request"
+        assert "JSON object" in responses[0]["error"]["message"]
+        assert responses[1]["status"] == "ok" and len(a.calls) == 1
+
     def test_solve_batch_hashes_a_shared_problem_once(self, monkeypatch):
         from repro.service import codec
         from repro.service import router as router_module

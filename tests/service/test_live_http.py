@@ -274,7 +274,7 @@ class TestSync:
         code, body = raw_post(
             client.base_url,
             f"/v1/workflows/{wid}/sync",
-            {"base_records": 9, "records": ['{"kind":"fence","epoch":2}']},
+            {"base_offset": 9, "records": ['{"kind":"fence","epoch":2}']},
         )
         assert code == 409
         assert body["error"]["kind"] == "conflict"

@@ -18,7 +18,9 @@ Subcommands
     Static analysis: domain-lint an instance (and optionally a scheduler's
     output) or AST-lint source code; see ``docs/static_analysis.md``.
 ``serve [--host H] [--port P] [--workers N] [--queue-size Q] …``
-    Run one HTTP scheduling node (see ``docs/service.md``);
+    Run one HTTP scheduling node (see ``docs/service.md``): an asyncio
+    server that coalesces concurrent duplicate requests in front of a
+    bounded solver pool.  ``--timeout`` is a default deadline per waiter;
     ``--degrade-on-timeout`` answers deadline overruns with the least-cost
     fallback schedule (marked ``degraded``) instead of a 504.
 ``route NODE_URL [NODE_URL …] [--port P] [--hedge-delay S] …``
@@ -207,21 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="default per-job timeout in seconds (none by default)",
+        help="default deadline in seconds for a request that names none: per "
+        "waiter on /v1/solve (the solve runs on and fills the cache), per job "
+        "on /v1/solve_batch (none by default)",
     )
     p_serve.add_argument(
         "--degrade-on-timeout",
         action="store_true",
         help="answer deadline overruns with the least-cost fallback schedule "
         "(marked degraded) instead of HTTP 504",
-    )
-    p_serve.add_argument(
-        "--async",
-        dest="async_core",
-        action="store_true",
-        help="run the asyncio core: an event loop with single-flight request "
-        "coalescing in front of the same bounded solver pool "
-        "(docs/service.md 'Async core')",
     )
     p_serve.add_argument(
         "--verbose", action="store_true", help="log one line per HTTP request"
@@ -298,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--algorithm", default=None)
     p_submit.add_argument("--budget", type=float, required=True)
     p_submit.add_argument(
-        "--timeout", type=float, default=None, help="per-job timeout in seconds"
+        "--timeout",
+        type=float,
+        default=None,
+        help="this request's deadline in seconds (504, or the degraded answer, "
+        "once it passes)",
     )
     p_submit.add_argument(
         "--max-retries",
@@ -414,7 +414,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 for step in result.steps:
                     print("  " + step.describe(problem.catalog.names))
         elif args.command == "serve":
-            serve_kwargs = dict(
+            from repro.service.http import serve
+
+            return serve(
                 host=args.host,
                 port=args.port,
                 max_workers=args.workers,
@@ -429,13 +431,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 live_retention=args.live_retention,
                 verbose=args.verbose,
             )
-            if args.async_core:
-                from repro.service.aio.http import serve_async
-
-                return serve_async(**serve_kwargs)
-            from repro.service.http import serve
-
-            return serve(**serve_kwargs)
         elif args.command == "route":
             from repro.service.router import serve_router
 

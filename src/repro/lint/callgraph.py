@@ -12,10 +12,11 @@ module in the linted tree.  It resolves, with nothing but the ASTs:
   ``modkey::function``;
 * per-class **instance-attribute types** for the first-order patterns
   ``self.x = SomeClass(...)`` (also through ``a or SomeClass(...)``
-  defaults) and annotated properties / attributes whose annotation names
-  a project class — this is what lets the call graph follow
-  ``self.service.solve(...)`` from an HTTP handler into the service
-  core;
+  defaults), ``self.x = param`` where the method annotates
+  ``param: SomeClass``, and annotated properties / attributes whose
+  annotation names a project class — this is what lets the call graph
+  follow ``self.core.solve(...)`` from the HTTP server into the asyncio
+  core and ``self.service.lookup(...)`` from there into the service;
 * the **call graph** itself: for each function, the set of project
   functions it can call through direct names, ``self.`` method calls,
   imported-module attributes and first-order typed instance attributes.
@@ -393,18 +394,28 @@ def _collect_attr_types(index: ProjectIndex, cls: ClassInfo) -> None:
             target = _class_from_expr(index, modkey, item.annotation)
             if target is not None:
                 cls.attr_types[item.target.id] = target.qualname
-    # `self.x = SomeClass(...)` in any method (usually __init__).
+    # `self.x = SomeClass(...)` in any method (usually __init__), and
+    # `self.x = param` where the method annotates `param: SomeClass`.
     for method in cls.methods.values():
+        args = method.node.args
+        annotations = {
+            arg.arg: arg.annotation
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if arg.annotation is not None
+        }
         for node in ast.walk(method.node):
             if not isinstance(node, ast.Assign):
                 continue
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in annotations:
+                value = annotations[value.id]
             for tgt in node.targets:
                 if (
                     isinstance(tgt, ast.Attribute)
                     and isinstance(tgt.value, ast.Name)
                     and tgt.value.id == "self"
                 ):
-                    found = _class_from_expr(index, modkey, node.value)
+                    found = _class_from_expr(index, modkey, value)
                     if found is not None:
                         cls.attr_types.setdefault(tgt.attr, found.qualname)
 

@@ -1,6 +1,6 @@
 """``repro.service`` — the cached, concurrent scheduling service layer.
 
-Four layers, bottom-up (see ``docs/service.md``):
+The layers, bottom-up (see ``docs/service.md``):
 
 * :mod:`repro.service.codec` — canonical, version-stamped JSON encoders
   and decoders for workflows, catalogs, problems and schedules (the wire
@@ -12,12 +12,13 @@ Four layers, bottom-up (see ``docs/service.md``):
   thread-safe memoizing result store (LRU + optional atomic-JSON disk
   tier) and the bounded worker pool with backpressure, per-job timeouts
   and structured job records;
-* :mod:`repro.service.app` + :mod:`repro.service.http` — the
-  transport-agnostic :class:`SchedulingService` (one request type,
-  :class:`KeyedRequest`, decoded on its executor worker) and its stdlib
-  HTTP front-end (``repro serve`` / ``repro submit``); the asyncio front
-  end (:mod:`repro.service.aio`, ``repro serve --async``) awaits the
-  same service;
+* :mod:`repro.service.app` + :mod:`repro.service.aio` +
+  :mod:`repro.service.http` — the transport-agnostic
+  :class:`SchedulingService` (one request type, :class:`KeyedRequest`,
+  decoded on its executor worker; blocking ``solve``/``solve_batch`` are
+  the in-process API), the asyncio core that coalesces duplicate
+  requests in front of it, and the one stdlib asyncio HTTP server
+  (``repro serve`` / ``repro submit``), which the shard router reuses;
 * :mod:`repro.service.resilience` + :mod:`repro.service.router` — the
   fabric layer: retry policies with backoff and jitter, per-node circuit
   breakers, and the ``problem_hash``-sharded router with failover and
@@ -64,12 +65,17 @@ from repro.service.codec import (
     loads,
 )
 from repro.service.executor import JobExecutor, JobRecord
-from repro.service.http import ServiceClient, make_server, serve
+from repro.service.http import (
+    BackgroundServer,
+    ServiceClient,
+    ServiceServer,
+    serve,
+)
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.service.router import (
     NodeHandle,
+    RouterServer,
     ShardRouter,
-    make_router_server,
     serve_router,
 )
 from repro.service.keys import (
@@ -81,6 +87,7 @@ from repro.service.keys import (
 )
 
 __all__ = [
+    "BackgroundServer",
     "CODEC_VERSION",
     "CacheStats",
     "ChaosConfig",
@@ -94,10 +101,12 @@ __all__ = [
     "RequestKey",
     "ResultCache",
     "RetryPolicy",
+    "RouterServer",
     "SchedulingService",
     "ServiceClient",
     "ServiceError",
     "ServiceOverloadedError",
+    "ServiceServer",
     "ServiceTimeoutError",
     "ShardRouter",
     "TransientServiceError",
@@ -114,8 +123,6 @@ __all__ = [
     "encode_workflow",
     "error_payload",
     "loads",
-    "make_router_server",
-    "make_server",
     "params_hash",
     "problem_hash",
     "request_key",

@@ -1,11 +1,12 @@
 """The asyncio service core: coalesce, then solve on the service's executor.
 
 :class:`AsyncServiceCore` wraps the transport-agnostic
-:class:`~repro.service.app.SchedulingService` with an event-loop request
-path.  One ``/v1/solve`` request flows::
+:class:`~repro.service.app.SchedulingService` with the event-loop
+request path the HTTP server (:mod:`repro.service.http`) awaits.  One
+``/v1/solve`` request flows::
 
-    parse_head ──► cache probe ──► single-flight ──► service.executor
-      (hash only)   (both tiers)     (per RequestKey)   (one job per flight)
+    parse_head ──► memory probe ──► single-flight ──► service.executor
+      (hash only)   (no disk I/O)     (per RequestKey)   (one job per flight)
 
 * ``parse_head`` validates and hashes on the loop **without decoding**
   the problem payload; coalesced duplicates therefore pay one decode
@@ -14,26 +15,28 @@ path.  One ``/v1/solve`` request flows::
   so a budget sweep over one workflow hashes and decodes its DAG once,
   and each miss's solve can replay a prefix of the Critical-Greedy trace
   memoized on that shared problem.
-* A flight leader submits one job to the service's
+* The loop probes only the memory tier of the result cache.  A flight
+  leader submits one job to the service's
   :class:`~repro.service.executor.JobExecutor` — the same bounded pool,
-  admission accounting and job records the threaded front end uses —
-  and awaits its future.  The job decodes the problem on a worker
-  thread, never on the loop.  A full queue fails the flight with
-  :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503); a flight
-  abandoned by its last waiter cancels its job, which the executor skips
-  if it is still queued and counts ``cancelled``.
+  admission accounting and job records the in-process
+  :meth:`~repro.service.app.SchedulingService.solve` uses — and awaits
+  its future.  The job reads the disk tier, else decodes and solves, on
+  a worker thread, never on the loop.  A full queue fails the flight
+  with :class:`~repro.exceptions.ServiceOverloadedError` (HTTP 503); a
+  flight abandoned by its last waiter cancels its job, which the
+  executor skips if it is still queued and counts ``cancelled``.
 * ``/v1/solve_batch`` goes through the service's own planner,
   :meth:`~repro.service.app.SchedulingService.plan_batch` — the one the
-  threaded endpoint blocks on — and awaits its slots in input order, so
-  dedupe and budget-axis grouping are the same on both front ends.
-  Batch items do not join ``/v1/solve`` flights.
+  in-process ``solve_batch`` blocks on — and awaits its slots in input
+  order, so dedupe and budget-axis grouping are the same served and
+  in-process.  Batch items do not join ``/v1/solve`` flights.
 * A loop-lag monitor samples event-loop scheduling delay so ``/v1/stats``
   can report ``loop_lag_p95`` — the canary for accidentally blocking the
   loop (see the RT703 lint rule for the static version of that check).
 
-Responses are byte-identical to the threaded core's: cache fragments are
-produced by the same job code.  Response dicts may be shared between
-coalesced waiters — treat them as immutable.
+Responses are byte-identical to the in-process service's: cache
+fragments are produced by the same job code.  Response dicts may be
+shared between coalesced waiters — treat them as immutable.
 """
 
 from __future__ import annotations
@@ -41,11 +44,11 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from collections.abc import AsyncIterator, Mapping
+from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import ServiceError, ServiceTimeoutError
-from repro.service.app import BatchSlot, KeyedRequest, SchedulingService, error_payload
+from repro.service.app import KeyedRequest, SchedulingService, error_payload
 from repro.service.executor import percentile
 from repro.service.aio.coalesce import SingleFlight
 
@@ -63,7 +66,7 @@ class AsyncServiceCore:
     service:
         The wrapped scheduling service: cache, codec, live workflows, and
         the executor every miss is solved on (its ``max_workers`` and
-        ``queue_size`` bound the async front end too).
+        ``queue_size`` bound the served requests too).
     default_timeout:
         Timeout applied when a request carries none: per waiter on
         ``/v1/solve`` (a waiter timing out never cancels the underlying
@@ -175,27 +178,20 @@ class AsyncServiceCore:
     # Batch endpoint
     # ------------------------------------------------------------------ #
 
-    def solve_batch_stream(self, payloads: Any) -> AsyncIterator[dict[str, Any]]:
-        """``/v1/solve_batch``: responses in input order, streamed as ready.
+    async def solve_batch(self, payloads: Any) -> list[dict[str, Any]]:
+        """``/v1/solve_batch``: every item's response, in input order.
 
-        Planning is eager — a non-array body raises *here*, before the
-        first item is yielded, so the HTTP layer can still answer 400
-        with an unstarted response — and every miss is submitted before
-        the first await.  Item *i* is yielded once it (and its
-        predecessors) are done, so the response streams back while later
-        slots still converge.
+        Planning is eager: a non-array body raises before anything is
+        awaited, and every miss is submitted before the first await.
+        The slots are then awaited in input order.
         """
         started = time.monotonic()
-        slots = self.service.plan_batch(payloads, default_timeout=self._default_timeout)
-        return self._stream(slots, started)
-
-    async def _stream(
-        self, slots: list[BatchSlot], started: float
-    ) -> AsyncIterator[dict[str, Any]]:
         loop = asyncio.get_running_loop()
         responses: list[dict[str, Any]] = []
         try:
-            for slot in slots:
+            for slot in self.service.plan_batch(
+                payloads, default_timeout=self._default_timeout
+            ):
                 if slot.future is None:
                     response = slot.settled(responses)
                 else:
@@ -209,7 +205,7 @@ class AsyncServiceCore:
                     except Exception as exc:
                         response = error_payload(exc)
                 responses.append(response)
-                yield response
+            return responses
         finally:
             self.service._observe(time.monotonic() - started)
 
@@ -220,8 +216,8 @@ class AsyncServiceCore:
     def stats(self) -> dict[str, Any]:
         """The ``/v1/stats`` body plus the async core's ``aio`` section.
 
-        The ``executor`` section is the service's own: both front ends
-        report the one pool.  ``aio`` carries the coalescing and
+        The ``executor`` section is the service's own: served and
+        in-process solves share the one pool.  ``aio`` carries the coalescing and
         loop-lag figures.
         """
         data = self.service.stats()

@@ -1,29 +1,31 @@
 """The scheduling service: parse → memoize → dispatch → respond.
 
-:class:`SchedulingService` is the transport-agnostic core behind both
-HTTP front ends (:mod:`repro.service.http` blocks on it, the asyncio
-core :mod:`repro.service.aio` awaits it) and the ``repro submit`` client:
+:class:`SchedulingService` is the transport-agnostic core behind the
+HTTP server (:mod:`repro.service.http`, which awaits it through the
+asyncio core :mod:`repro.service.aio`) and the in-process API
+(:meth:`~SchedulingService.solve` and
+:meth:`~SchedulingService.solve_batch` block on it):
 
 1. :meth:`~SchedulingService.parse_head` validates a request payload
    (canonical wire format, :mod:`repro.service.codec`), configures the
    scheduler and computes the content-addressed key
    (:mod:`repro.service.keys`) without decoding the problem;
-2. the key is looked up in the memoizing result store
-   (:mod:`repro.service.cache`) — a hit replays the stored result
+2. the key is looked up in the memory tier of the memoizing result
+   store (:mod:`repro.service.cache`) — a hit replays the stored result
    fragment byte-for-byte with ``cache_hit: true`` and never decodes;
 3. a miss is submitted, still undecoded, to the bounded job executor
-   (:mod:`repro.service.executor`); its worker decodes the problem
-   through the memo, runs the registered scheduler, encodes the result
-   and populates both cache tiers;
+   (:mod:`repro.service.executor`); its worker reads the disk tier (a
+   hit there answers as a cache hit), else decodes the problem through
+   the memo, runs the registered scheduler, encodes the result and
+   populates both cache tiers;
 4. ``stats()`` aggregates cache hit-rate, executor counters and p50/p95
    latencies for ``GET /v1/stats``.
 
-``/v1/solve_batch`` runs through one planner,
-:meth:`~SchedulingService.plan_batch`, on either front end: it parses,
-dedupes, probes the cache, groups misses that differ only in budget
-into one executor job, and returns one slot per input position without
-blocking.  :meth:`~SchedulingService.solve_batch` blocks on the slots;
-the asyncio core awaits them.
+A batch runs through one planner, :meth:`~SchedulingService.plan_batch`:
+it parses, dedupes, probes the cache, groups misses that differ only in
+budget into one executor job, and returns one slot per input position
+without blocking.  :meth:`~SchedulingService.solve_batch` blocks on the
+slots; the asyncio core awaits them for ``/v1/solve_batch``.
 
 The hash (step 1) and the decode (step 3) are memoized per exact
 problem payload: a bounded LRU of :data:`PROBLEM_MEMO_SIZE` entries maps
@@ -247,7 +249,8 @@ class BatchSlot:
 
 
 #: HTTP status of each error ``kind`` (``not_ready`` is the readiness
-#: probe's).  Every front end and the shard router derive statuses here.
+#: probe's).  The HTTP server derives every reply status here, for nodes
+#: and the shard router alike.
 ERROR_STATUS = {
     "overloaded": 503,
     "not_ready": 503,
@@ -304,7 +307,7 @@ class SchedulingService:
     ----------
     max_workers / queue_size / default_timeout:
         Forwarded to the :class:`~repro.service.executor.JobExecutor`,
-        the one pool solves run on behind either HTTP front end.
+        the one pool every miss is solved on, served or in-process.
     cache_size / cache_dir:
         Forwarded to the :class:`~repro.service.cache.ResultCache`;
         ``cache_dir`` enables the persistent disk tier.
@@ -409,9 +412,8 @@ class SchedulingService:
 
         Everything except :func:`codec.decode_problem` runs here: field
         validation, scheduler configuration, and the content hash (skipped
-        when the exact payload is memoized).  Both front ends probe the
-        cache on the returned key; a miss is decoded on its executor
-        worker.
+        when the exact payload is memoized).  Callers probe the cache on
+        the returned key; a miss is decoded on its executor worker.
 
         ``entries`` is one batch's identity map from problem object to
         memo entry: items that share a parsed problem object (as
@@ -486,46 +488,56 @@ class SchedulingService:
     # ------------------------------------------------------------------ #
 
     def _solve_job(self, job: "KeyedRequest | _BatchSolveJob") -> dict[str, Any]:
-        """Executor job body: decode through the memo, solve, encode, memoize.
+        """Executor job body: read the disk tier, else decode, solve, memoize.
 
-        Runs on a worker thread, so no front end ever decodes a miss.
+        Runs on a worker thread, so neither the event loop nor an
+        in-process caller reads the disk cache or decodes a miss.
         """
         if isinstance(job, _BatchSolveJob):
             return self._solve_group(job.items)
-        problem = self._problems.problem(job)
-        return self._store(job, problem, job.scheduler.solve(problem, job.budget))
+        hit = self._disk_hit(job)
+        return hit if hit is not None else self._solve_one(job)
+
+    def _disk_hit(self, keyed: KeyedRequest) -> dict[str, Any] | None:
+        """The cache-hit response from the disk tier, or ``None``."""
+        fragment = self.cache.load(keyed.key)
+        if fragment is None:
+            return None
+        return self._response(keyed, fragment, cache_hit=True)
+
+    def _solve_one(self, keyed: KeyedRequest) -> dict[str, Any]:
+        problem = self._problems.problem(keyed)
+        return self._store(keyed, problem, keyed.scheduler.solve(problem, keyed.budget))
 
     def _solve_group(self, items: Sequence[KeyedRequest]) -> dict[str, Any]:
         """One worker slot, many budgets: the grouped batch-solve job.
 
-        Items share one memo entry, so one decode and one ``solve_batch``
-        call answer them all, byte-identical to per-item
-        :meth:`_solve_job` runs.  A decode error fails every item.  If
-        ``solve_batch`` rejects the group as a whole (one member's budget
-        is infeasible), each item is solved alone so a bad item cannot
-        fail its groupmates.
+        Items found on the disk tier answer from it.  The rest share one
+        memo entry, so one decode and one ``solve_batch`` call answer
+        them all, byte-identical to per-item :meth:`_solve_job` runs.  A
+        decode error fails every item.  If ``solve_batch`` rejects the
+        group as a whole (one member's budget is infeasible), each item
+        is solved alone so a bad item cannot fail its groupmates.
         """
-        first = items[0]
-        problem = self._problems.problem(first)
-        try:
-            results = first.scheduler.solve_batch(
-                problem, [keyed.budget for keyed in items]
-            )
-        except ReproError:
-            batch = []
-            for keyed in items:
-                try:
-                    batch.append(self._solve_job(keyed))
-                except Exception as exc:
-                    batch.append(error_payload(exc))
-            return {"status": "ok", "batch": batch}
-        return {
-            "status": "ok",
-            "batch": [
-                self._store(keyed, problem, result)
-                for keyed, result in zip(items, results)
-            ],
-        }
+        batch: list[dict[str, Any] | None] = [self._disk_hit(keyed) for keyed in items]
+        todo = [i for i, hit in enumerate(batch) if hit is None]
+        if todo:
+            first = items[todo[0]]
+            problem = self._problems.problem(first)
+            try:
+                results = first.scheduler.solve_batch(
+                    problem, [items[i].budget for i in todo]
+                )
+            except ReproError:
+                for i in todo:
+                    try:
+                        batch[i] = self._solve_one(items[i])
+                    except Exception as exc:
+                        batch[i] = error_payload(exc)
+            else:
+                for i, result in zip(todo, results):
+                    batch[i] = self._store(items[i], problem, result)
+        return {"status": "ok", "batch": batch}
 
     def _store(
         self, keyed: KeyedRequest, problem: MedCCProblem, result: SchedulerResult
@@ -540,10 +552,12 @@ class SchedulingService:
         return self._response(keyed, fragment, cache_hit=False)
 
     def lookup(self, keyed: KeyedRequest) -> dict[str, Any] | None:
-        """The cache-hit response for a request, or ``None`` on a miss.
+        """The memory tier's cache-hit response for a request, or ``None``.
 
-        The response uses only the key, algorithm and budget, so a hit
-        never decodes the problem.
+        Never touches the disk, so the HTTP server calls it on the
+        loop; a miss's executor job reads the disk tier before it
+        decodes.  The response uses only the key, algorithm and budget,
+        so a hit never decodes the problem.
         """
         fragment = self.cache.get(keyed.key)
         if fragment is None:
@@ -557,7 +571,7 @@ class SchedulingService:
 
         The least-cost schedule is feasible for every feasible budget and
         costs O(m·n) to build, so it can run synchronously on the calling
-        thread (off the event loop on the asyncio front end); the problem
+        thread (off the event loop when served); the problem
         is decoded through the memo.  The response is marked
         ``degraded: true`` (top level and in the fragment) and is *not*
         cached — a retry after the overload passes still computes the
@@ -662,9 +676,9 @@ class SchedulingService:
     ) -> list[BatchSlot]:
         """Parse, dedupe, probe and submit a batch; one slot per position.
 
-        The ``/v1/solve_batch`` planner of both front ends.  It never
-        blocks on a job: the threaded :meth:`solve_batch` then blocks on
-        the slots, the asyncio core awaits them.  Per item, in order:
+        The one batch planner.  It never blocks on a job: the in-process
+        :meth:`solve_batch` then blocks on the slots, the asyncio core
+        awaits them for ``/v1/solve_batch``.  Per item, in order:
 
         * a payload that fails to parse answers its error; items that
           share one problem object look its memo entry up once;
@@ -773,8 +787,9 @@ class SchedulingService:
     def register_workflow(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """``POST /v1/workflows``: register (or idempotently re-register).
 
-        Runs the offline solve synchronously on the intake thread — the
-        registration response *is* the initial plan, and the live event
+        Runs the offline solve synchronously on the calling thread (an
+        executor thread when served) — the registration response *is*
+        the initial plan, and the live event
         path must not sit behind queued batch solves.
         """
         self._reject_if_draining()

@@ -11,8 +11,10 @@ The in-memory tier is a bounded LRU (``OrderedDict`` + lock) with
 hit/miss/eviction counters.  The optional disk tier writes one atomic
 JSON file per entry (``<digest>.json`` written via a temp file +
 ``os.replace``) under a cache directory, so results survive restarts and
-can be shared by multiple service processes on one host; in-memory misses
-fall through to disk and re-populate the LRU on success.
+can be shared by multiple service processes on one host.  The two tiers
+are read by two calls: :meth:`ResultCache.get` probes memory only, so an
+event loop can call it, and :meth:`ResultCache.load` reads the disk for
+a memory miss off the loop and re-populates the LRU on success.
 
 Crash safety: a node killed mid-write (or a disk hiccup) can leave a
 corrupt or truncated entry behind.  Such files must never take the node
@@ -123,12 +125,14 @@ class ResultCache:
     # ------------------------------------------------------------------ #
 
     def get(self, key: RequestKey) -> dict[str, Any] | None:
-        """Return the cached payload for ``key``, or ``None`` on a miss.
+        """The memory tier's payload for ``key``, or ``None``.
 
-        A memory hit refreshes LRU recency; a memory miss consults the
-        disk tier (when configured) and promotes any hit back into memory.
-        Counters: a lookup satisfied by either tier is one *hit*; a lookup
-        satisfied by neither is one *miss*.
+        Never touches the disk, so it is safe to call on an event loop.
+        A hit refreshes LRU recency.  With a disk tier configured, a
+        memory miss is not yet a miss: :meth:`load` reads the disk for
+        it and counts the outcome.  Counters: a lookup satisfied by
+        either tier is one *hit*; a lookup satisfied by neither is one
+        *miss*.
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -136,6 +140,20 @@ class ResultCache:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return dict(entry)
+            if self._dir is None:
+                self._misses += 1
+            return None
+
+    def load(self, key: RequestKey) -> dict[str, Any] | None:
+        """The disk tier's payload for a key :meth:`get` missed, or ``None``.
+
+        Blocking file I/O: call it off the event loop (the service reads
+        it on the miss's executor worker).  A disk hit is promoted back
+        into memory.  Without a disk tier this returns ``None`` at once
+        (:meth:`get` has already counted the miss).
+        """
+        if self._dir is None:
+            return None
         payload = self._disk_get(key)
         with self._lock:
             if payload is not None:

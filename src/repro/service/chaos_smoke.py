@@ -1,8 +1,9 @@
 """Chaos parity smoke test (the CI ``chaos-smoke`` job).
 
 Builds the full fabric as real moving parts — two ``repro serve``
-subprocesses, a fault-injecting :class:`~repro.service.chaos.ChaosProxy`
-in front of each, and the shard router over the proxies — then pushes a
+subprocesses (asyncio nodes with single-flight coalescing), a
+fault-injecting :class:`~repro.service.chaos.ChaosProxy` in front of
+each, and the shard router over the proxies — then pushes a
 batch of distinct problems through the router while the chaos layer
 injects seeded latency, 502s and dropped connections, and one node is
 SIGKILLed mid-batch and restarted a few requests later.
@@ -33,13 +34,12 @@ fenced off and reset-pushed by the failover writer), the final
 and both nodes' ``<id>.jsonl`` replicas end byte-identical — with zero
 client-visible errors throughout.
 
-A third **async-core phase** boots a separate fleet of ``repro serve
---async`` nodes (single-flight coalescing) behind fresh chaos proxies
-and fires duplicate-heavy concurrent bursts while one node is SIGKILLed
-mid-phase and restarted.  Pass criteria:
-zero client-visible errors, byte parity of every non-degraded schedule
-with a fault-free in-process solve, and fleet-wide ``aio.coalesced``
-counters > 0 — duplicate suppression must survive the kill/restart.
+A third **burst phase** fires duplicate-heavy concurrent bursts at the
+same fleet while node B is SIGKILLed again mid-phase and restarted.
+Pass criteria: zero client-visible errors, byte parity of every
+non-degraded schedule with a fault-free in-process solve, and
+fleet-wide ``aio.coalesced`` counters > 0 — duplicate suppression must
+survive the kill/restart.
 
 Usage::
 
@@ -65,9 +65,9 @@ from repro.core.serialize import problem_to_dict
 from repro.exceptions import ReproError, ServiceError
 from repro.service.chaos import ChaosConfig, ChaosProxy
 from repro.service.codec import dumps, encode_schedule
-from repro.service.http import ServiceClient
+from repro.service.http import BackgroundServer, ServiceClient
 from repro.service.resilience import CircuitBreaker, RetryPolicy
-from repro.service.router import NodeHandle, ShardRouter, make_router_server
+from repro.service.router import NodeHandle, RouterServer, ShardRouter
 
 __all__ = ["main"]
 
@@ -141,19 +141,23 @@ def _live_event_stream(problem, budget: float) -> list[dict[str, Any]]:
     return events
 
 
-def _async_core_phase(args: argparse.Namespace) -> tuple[list[str], dict[str, Any]]:
-    """Phase 3: duplicate-heavy bursts against two **async** nodes.
+def _burst_phase(
+    args: argparse.Namespace,
+    client: ServiceClient,
+    nodes: list[Any],
+    ports: list[int],
+    node_args: list[tuple[str, ...]],
+) -> tuple[list[str], dict[str, Any]]:
+    """Phase 3: duplicate-heavy bursts, with node B killed and restarted.
 
-    Boots a second fleet with ``repro serve --async`` (single-flight
-    coalescing) behind fresh chaos proxies and a fresh router, then
-    fires rounds of *concurrent identical* requests — the coalescer's
-    worst-case traffic — while node B is SIGKILLed mid-phase and
-    restarted a few rounds later.  Pass criteria mirror
-    the threaded phase (zero client-visible errors, every non-degraded
-    schedule byte-identical to a fault-free in-process solve) plus one
-    async-specific bar: the fleet's ``aio.coalesced`` counters must come
-    back positive, proving duplicate suppression stayed live through
-    kill and restart.
+    Fires rounds of *concurrent identical* requests through the router —
+    the coalescer's worst-case traffic — while node B is SIGKILLed
+    mid-phase and restarted a few rounds later (``nodes[1]`` is replaced
+    in place).  Pass criteria mirror the first phase (zero client-visible
+    errors, every non-degraded schedule byte-identical to a fault-free
+    in-process solve) plus one more bar: the fleet's ``aio.coalesced``
+    counters must come back positive, proving duplicate suppression
+    stayed live through kill and restart.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -183,120 +187,49 @@ def _async_core_phase(args: argparse.Namespace) -> tuple[list[str], dict[str, An
 
     errors: list[str] = []
     stats: dict[str, Any] = {"requests": rounds * burst}
-    node_a = node_b = None
-    proxies: list[ChaosProxy] = []
-    server = None
-    extra = ("--async",)
-    try:
-        node_a, port_a = _start_node(extra=extra)
-        node_b, port_b = _start_node(extra=extra)
-        for port in (port_a, port_b):
-            if not _wait_healthy(
-                f"http://127.0.0.1:{port}", args.startup_timeout
-            ):
-                errors.append(f"async node on port {port} never became healthy")
-                return errors, stats
-        proxies = [
-            ChaosProxy(
-                f"http://127.0.0.1:{port}",
-                ChaosConfig(
-                    seed=args.seed + 100 + n,
-                    latency_prob=args.latency_prob,
-                    latency_min=0.01,
-                    latency_max=0.10,
-                    error_prob=args.error_prob,
-                    drop_prob=args.drop_prob,
-                ),
-            ).start()
-            for n, port in enumerate((port_a, port_b))
-        ]
-        router = ShardRouter(
-            [
-                NodeHandle(
-                    proxy.base_url,
-                    timeout=15.0,
-                    breaker=CircuitBreaker(failure_threshold=3, reset_timeout=1.0),
-                )
-                for proxy in proxies
-            ],
-            retry_policy=RetryPolicy(max_retries=8, base_delay=0.05, max_delay=0.5),
-            hedge_delay=0.25,
-        )
-        server = make_router_server(router)
-        import threading
-
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        client = ServiceClient(
-            f"http://127.0.0.1:{server.server_address[1]}",
-            timeout=60.0,
-            retry=RetryPolicy(max_retries=6, base_delay=0.25, max_delay=2.0),
-        )
-
-        degraded = 0
-        with ThreadPoolExecutor(max_workers=burst) as pool:
-            for i, (request, want) in enumerate(workload):
-                if i == kill_at:
-                    node_b.kill()
-                    node_b.wait(timeout=10)
-                    print(f"[async {i}] killed node B (port {port_b})", flush=True)
-                if i == restart_at:
-                    node_b, _ = _start_node(port_b, extra=extra)
-                    if not _wait_healthy(
-                        f"http://127.0.0.1:{port_b}", args.startup_timeout
-                    ):
-                        errors.append("restarted async node never became healthy")
-                        return errors, stats
-                    print(
-                        f"[async {i}] restarted node B (port {port_b})", flush=True
-                    )
-                outcomes = list(
-                    pool.map(client.solve, [dict(request) for _ in range(burst)])
-                )
-                for response in outcomes:
-                    if response.get("status") != "ok":
-                        errors.append(
-                            f"async round {i}: error body {response.get('error')}"
-                        )
-                    elif response.get("degraded"):
-                        degraded += 1
-                    elif dumps(response["result"]["schedule"]) != want:
-                        errors.append(
-                            f"async round {i}: schedule diverges from the "
-                            "fault-free reference"
-                        )
-        stats["degraded"] = degraded
-
-        # Coalescing proof: counters from the *live* nodes (node B was
-        # restarted, so its counters only cover the post-restart bursts).
-        coalesced = 0
-        for port in (port_a, port_b):
-            body = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0).stats()
-            coalesced += body.get("stats", {}).get("aio", {}).get("coalesced", 0)
-        stats["coalesced"] = coalesced
-        if coalesced == 0:
-            errors.append(
-                "async nodes never coalesced a duplicate - single-flight "
-                "suppression did not engage under duplicate-heavy bursts"
+    degraded = 0
+    with ThreadPoolExecutor(max_workers=burst) as pool:
+        for i, (request, want) in enumerate(workload):
+            if i == kill_at:
+                nodes[1].kill()
+                nodes[1].wait(timeout=10)
+                print(f"[burst {i}] killed node B (port {ports[1]})", flush=True)
+            if i == restart_at:
+                nodes[1], _ = _start_node(ports[1], extra=node_args[1])
+                if not _wait_healthy(
+                    f"http://127.0.0.1:{ports[1]}", args.startup_timeout
+                ):
+                    errors.append("restarted node B never became healthy")
+                    return errors, stats
+                print(f"[burst {i}] restarted node B (port {ports[1]})", flush=True)
+            outcomes = list(
+                pool.map(client.solve, [dict(request) for _ in range(burst)])
             )
-        stats["chaos"] = {
-            f"proxy_{label}": proxy.stats()
-            for label, proxy in zip("ab", proxies)
-        }
-        return errors, stats
-    finally:
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        for proxy in proxies:
-            proxy.stop()
-        for node in (node_a, node_b):
-            if node is None:
-                continue
-            node.terminate()
-            try:
-                node.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                node.kill()
+            for response in outcomes:
+                if response.get("status") != "ok":
+                    errors.append(f"burst round {i}: error body {response.get('error')}")
+                elif response.get("degraded"):
+                    degraded += 1
+                elif dumps(response["result"]["schedule"]) != want:
+                    errors.append(
+                        f"burst round {i}: schedule diverges from the "
+                        "fault-free reference"
+                    )
+    stats["degraded"] = degraded
+
+    # Coalescing proof: counters from the *live* nodes (node B was
+    # restarted, so its counters only cover the post-restart bursts).
+    coalesced = 0
+    for port in ports:
+        body = ServiceClient(f"http://127.0.0.1:{port}", timeout=10.0).stats()
+        coalesced += body.get("stats", {}).get("aio", {}).get("coalesced", 0)
+    stats["coalesced"] = coalesced
+    if coalesced == 0:
+        errors.append(
+            "nodes never coalesced a duplicate - single-flight "
+            "suppression did not engage under duplicate-heavy bursts"
+        )
+    return errors, stats
 
 
 def _wait_healthy(url: str, timeout: float) -> bool:
@@ -352,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     # ---------------------------------------------------------------- #
     # Fleet: 2 nodes, 2 chaos proxies, 1 router (in-process HTTP).
     # ---------------------------------------------------------------- #
-    node_a = node_b = None
+    nodes: list[Any] = []
     proxies: list[ChaosProxy] = []
     server = None
     live_root = tempfile.mkdtemp(prefix="chaos-live-")
@@ -360,18 +293,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     # Federated topology: each node owns its live_dir and pushes every
     # log record to the other, so failover survives on the replica.
     port_a, port_b = _free_port(), _free_port()
-    args_a = (
-        "--live-dir", str(live_dirs[0]),
-        "--live-peer", f"http://127.0.0.1:{port_b}",
-    )
-    args_b = (
-        "--live-dir", str(live_dirs[1]),
-        "--live-peer", f"http://127.0.0.1:{port_a}",
-    )
+    ports = [port_a, port_b]
+    node_args = [
+        ("--live-dir", str(live_dirs[0]), "--live-peer", f"http://127.0.0.1:{port_b}"),
+        ("--live-dir", str(live_dirs[1]), "--live-peer", f"http://127.0.0.1:{port_a}"),
+    ]
     try:
-        node_a, port_a = _start_node(port_a, extra=args_a)
-        node_b, port_b = _start_node(port_b, extra=args_b)
-        for port in (port_a, port_b):
+        for port, extra in zip(ports, node_args):
+            nodes.append(_start_node(port, extra=extra)[0])
+        for port in ports:
             if not _wait_healthy(
                 f"http://127.0.0.1:{port}", args.startup_timeout
             ):
@@ -416,16 +346,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
             hedge_delay=0.25,
         )
-        server = make_router_server(router)
-        import threading
-
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        router_port = server.server_address[1]
+        server = BackgroundServer(RouterServer(router))
         # The client retries 503s honouring Retry-After (the breaker-reset
         # hint), so a window where every breaker is open — node B dead,
         # node A mid-fault-burst — heals instead of surfacing an error.
         client = ServiceClient(
-            f"http://127.0.0.1:{router_port}",
+            server.base_url,
             timeout=60.0,
             retry=RetryPolicy(max_retries=6, base_delay=0.25, max_delay=2.0),
         )
@@ -438,11 +364,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         degraded = 0
         for i, request in enumerate(requests):
             if i == args.kill_at:
-                node_b.kill()
-                node_b.wait(timeout=10)
+                nodes[1].kill()
+                nodes[1].wait(timeout=10)
                 print(f"[{i}] killed node B (port {port_b})", flush=True)
             if i == args.restart_at:
-                node_b, _ = _start_node(port_b, extra=args_b)
+                nodes[1], _ = _start_node(port_b, extra=node_args[1])
                 if not _wait_healthy(
                     f"http://127.0.0.1:{port_b}", args.startup_timeout
                 ):
@@ -505,13 +431,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             corrupt_at = revive_at + max(2, len(live_events) // 8)
             for i, event in enumerate(live_events):
                 if i == kill_at:
-                    node_a.kill()
-                    node_a.wait(timeout=10)
+                    nodes[0].kill()
+                    nodes[0].wait(timeout=10)
                     print(
                         f"[live {i}] killed node A (port {port_a})", flush=True
                     )
                 if i == revive_at:
-                    node_a, _ = _start_node(port_a, extra=args_a)
+                    nodes[0], _ = _start_node(port_a, extra=node_args[0])
                     if not _wait_healthy(
                         f"http://127.0.0.1:{port_a}", args.startup_timeout
                     ):
@@ -590,15 +516,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             errors.append(f"live phase: {type(exc).__name__}: {exc}")
 
         # -------------------------------------------------------------#
-        # Async-core phase: its own fleet of `repro serve --async`
-        # nodes, duplicate-heavy bursts, node murder, coalescing gate.
+        # Burst phase: duplicate-heavy bursts on the same fleet, node
+        # murder, coalescing gate.
         # -------------------------------------------------------------#
-        async_errors, async_stats = _async_core_phase(args)
-        errors.extend(async_errors)
+        burst_errors, burst_stats = _burst_phase(args, client, nodes, ports, node_args)
+        errors.extend(burst_errors)
 
         stats = router.aggregated_stats()
         stats["live_phase"] = live_stats
-        stats["async_phase"] = async_stats
+        stats["burst_phase"] = burst_stats
         stats["chaos"] = {
             f"proxy_{label}": proxy.stats()
             for label, proxy in zip("ab", proxies)
@@ -634,20 +560,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"matches reference, corrupted log healed "
             f"({live_stats.get('quarantined', 0)} quarantined), replicas "
             f"byte-identical ({live_stats['replica_bytes'][0]} B); "
-            f"async phase: {async_stats.get('requests', 0)} requests, "
-            f"{async_stats.get('coalesced', 0)} coalesced; "
+            f"burst phase: {burst_stats.get('requests', 0)} requests, "
+            f"{burst_stats.get('coalesced', 0)} coalesced; "
             f"stats written to {args.out}"
         )
         return 0
     finally:
         if server is not None:
-            server.shutdown()
-            server.server_close()
+            server.stop()
         for proxy in proxies:
             proxy.stop()
-        for node in (node_a, node_b):
-            if node is None:
-                continue
+        for node in nodes:
             node.terminate()
             try:
                 node.wait(timeout=10)

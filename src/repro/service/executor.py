@@ -2,9 +2,9 @@
 
 The executor turns the scheduling service into a queueing system with
 explicit limits instead of an unbounded thread-per-request free-for-all.
-It is the one place solves run, whichever HTTP front end took the
-request: the threaded server blocks on the job's future, the asyncio
-core (:mod:`repro.service.aio.core`) awaits it.
+It is the one place solves run, served or in-process: the blocking
+:meth:`~repro.service.app.SchedulingService.solve` waits on the job's
+future, the asyncio core (:mod:`repro.service.aio.core`) awaits it.
 
 * **Bounded admission** — at most ``queue_size`` jobs may wait; a submit
   against a full queue raises

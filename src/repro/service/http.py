@@ -1,10 +1,17 @@
-"""Stdlib-only HTTP front-end and client for the scheduling service.
+"""Stdlib-only HTTP server and client for the scheduling service.
 
 Server
 ------
-:func:`make_server` binds a :class:`http.server.ThreadingHTTPServer`
-around a :class:`~repro.service.app.SchedulingService`; :func:`serve`
-is the blocking entry point behind ``repro serve``.  Routes:
+One asyncio HTTP/1.1 server answers for every node (``repro serve``)
+and for the shard router (``repro route``).  :class:`HttpServer` is the
+connection plumbing both share: keep-alive, ``Content-Length`` bodies,
+canonical-JSON replies whose status follows from the body, and a JSON
+``bad_request`` answer (``400``, ``414`` or ``431``) to a request head
+it cannot parse.  :class:`ServiceServer` routes a node's requests onto
+an :class:`~repro.service.aio.core.AsyncServiceCore` (memory-tier cache
+probe and single-flight coalescing on the loop, every miss on the
+service's executor); the router's routes are
+:class:`~repro.service.router.RouterServer`.  Node routes:
 
 ===============================  ==========================================
 ``POST /v1/solve``                   solve one request payload
@@ -12,7 +19,7 @@ is the blocking entry point behind ``repro serve``.  Routes:
 ``POST /v1/workflows``               register a live workflow (idempotent)
 ``POST /v1/workflows/<id>/events``   apply one live event → revised plan
 ``GET  /v1/workflows/<id>``          live status + actual-vs-planned ledger
-``GET  /v1/stats``                   cache/executor counters, hit-rate, p50/p95
+``GET  /v1/stats``                   cache/executor/aio counters, p50/p95
 ``GET  /v1/healthz``                 liveness probe (process is up)
 ``GET  /v1/readyz``                  readiness probe (503 once draining has begun)
 ===============================  ==========================================
@@ -22,12 +29,21 @@ an unknown route or workflow id is ``404``, a conflicting live event
 (sequence gap or divergent replay) is ``409``, the executor's
 backpressure rejection
 (:class:`~repro.exceptions.ServiceOverloadedError`) is ``503`` with a
-``Retry-After`` hint, and a per-job timeout is ``504``.  Every body —
-success or error — is canonical JSON from :func:`repro.service.codec.dumps`.
+``Retry-After`` hint, and a request that outlives its deadline is
+``504``.  Every body — success or error — is canonical JSON from
+:func:`repro.service.codec.dumps`, which this module looks up as its own
+global ``dumps`` (and ``loads`` for request bodies).
 
-``serve`` installs a SIGTERM handler so a fleet manager's stop signal
-triggers the graceful drain contract (stop accepting, finish in-flight
-jobs, flush the disk cache) instead of dropping work on the floor.
+Nothing blocking runs on the loop: live-workflow routes, ``/v1/stats``
+and every :class:`~repro.service.router.ShardRouter` call run on the
+loop's default executor, and a cache miss reads the disk tier on its
+executor job (the RT703 lint rule checks the static version of this).
+
+:func:`serve` is the blocking entry point behind ``repro serve``: it
+prints ``listening on http://host:port`` once bound, and SIGTERM or
+Ctrl-C trigger the graceful drain (stop accepting, finish in-flight
+jobs, flush the disk cache).  :class:`BackgroundServer` runs any
+:class:`HttpServer` on a daemon thread for tests and harnesses.
 
 Client
 ------
@@ -44,6 +60,7 @@ hint — before giving up (``repro submit --max-retries/--deadline``).
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import re
 import signal
@@ -51,26 +68,34 @@ import sys
 import threading
 import urllib.error
 import urllib.request
-from collections.abc import Sequence
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from collections.abc import Callable, Sequence
+from typing import Any, TypeVar
 
 from repro.exceptions import (
     EventConflictError,
     ServiceError,
     TransientServiceError,
 )
+from repro.service.aio.core import AsyncServiceCore
 from repro.service.app import ERROR_STATUS, SchedulingService, error_payload
 from repro.service.codec import dumps, loads
 from repro.service.resilience import RetryPolicy
 
 __all__ = [
+    "BackgroundServer",
     "HttpPeer",
-    "ServiceRequestHandler",
-    "make_server",
-    "serve",
+    "HttpServer",
     "ServiceClient",
+    "ServiceServer",
+    "reply_status",
+    "serve",
 ]
+
+#: Longest request line or header line accepted, as the stdlib server.
+MAX_LINE = 65536
+
+#: Most header lines accepted in one request head, as the stdlib server.
+MAX_HEADERS = 100
 
 #: Live-workflow routes.  Ids are validated again by the manager; the
 #: pattern here only needs to slice the path safely.
@@ -78,161 +103,310 @@ _WORKFLOW_EVENTS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/events$")
 _WORKFLOW_SYNC_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)/sync$")
 _WORKFLOW_STATUS_RE = re.compile(r"^/v1/workflows/([A-Za-z0-9_\-]+)$")
 
+_T = TypeVar("_T")
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the attached :class:`SchedulingService`."""
 
-    server_version = "repro-service/1"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: headers and body go out in two writes, and without it
-    # Nagle holds the body until the client's delayed ACK (~40 ms per
-    # reply on a kept-alive connection).
-    disable_nagle_algorithm = True
+def reply_status(payload: dict[str, Any]) -> int:
+    """The HTTP status of a reply body: 200, or its error kind's status."""
+    if payload.get("status") != "error":
+        return 200
+    return ERROR_STATUS.get(payload.get("error", {}).get("kind"), 400)
 
-    @property
-    def service(self) -> SchedulingService:
-        return self.server.service  # type: ignore[attr-defined]
+
+def readiness(ready: bool, reason: str) -> dict[str, Any]:
+    """The ``/v1/readyz`` body; ``reason`` says why a not-ready one is not."""
+    body: dict[str, Any] = {"status": "ok" if ready else "error", "ready": ready}
+    if not ready:
+        body["error"] = {"kind": "not_ready", "message": reason}
+    return body
+
+
+def not_found(path: str) -> dict[str, Any]:
+    return {
+        "status": "error",
+        "error": {"kind": "not_found", "message": f"no route {path}"},
+    }
+
+
+def batch_requests(body: Any) -> Any:
+    """The ``requests`` member of a ``/v1/solve_batch`` body (``None`` if absent)."""
+    return body.get("requests") if isinstance(body, dict) else None
+
+
+async def off_loop(fn: Callable[..., _T], *args: Any) -> _T:
+    """``fn(*args)`` on the loop's default executor: for blocking calls."""
+    return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
+
+
+class _BadHead(Exception):
+    """A request head that cannot be parsed: answered with ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class HttpServer:
+    """HTTP/1.1 on asyncio streams: the plumbing every server shares.
+
+    Subclasses implement :meth:`respond`, which maps one request to a
+    reply body (an exception becomes its :func:`error_payload`), and may
+    override the :meth:`start`, :meth:`drain` and :meth:`close` hooks.
+    """
+
+    #: Prefix of the ``listening on`` and ``drained cleanly`` lines.
+    name = "repro"
+
+    def __init__(self, *, verbose: bool = False) -> None:
+        self.verbose = verbose
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
+
+    async def respond(self, method: str, path: str, body: bytes) -> dict[str, Any]:
+        """The reply body for one request."""
+        raise NotImplementedError
+
+    async def start(self) -> None:
+        """Start per-loop helpers before the first connection (none here)."""
+
+    async def drain(self) -> None:
+        """Finish in-flight work before the process exits (nothing here)."""
+
+    async def close(self) -> None:
+        """Stop the helpers :meth:`start` began (none here)."""
+
+    @staticmethod
+    def json(body: bytes) -> Any:
+        """A request body parsed with the canonical codec."""
+        if not body:
+            raise ServiceError("request body is empty")
+        return loads(body)
 
     # ------------------------------------------------------------------ #
-    # Plumbing
+    # Connections
     # ------------------------------------------------------------------ #
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):
-            sys.stderr.write(
-                f"{self.address_string()} - {format % args}\n"
-            )
+    async def listen(self, host: str, port: int) -> asyncio.Server:
+        """Run :meth:`start`, then accept connections on ``host:port``."""
+        await self.start()
+        return await asyncio.start_server(self.handle, host, port, limit=MAX_LINE)
 
-    def _send_json(
-        self, status: int, payload: dict[str, Any], *, retry_after: bool = False
+    async def shutdown(self, listener: asyncio.Server, *, drain: bool) -> None:
+        """Stop accepting, optionally :meth:`drain`, close idle connections.
+
+        A connection busy with a request finishes its reply, then closes.
+        """
+        listener.close()
+        if drain:
+            await self.drain()
+        self._closing = True
+        for writer in list(self._idle):
+            writer.close()
+        await listener.wait_closed()
+        await self.close()
+
+    async def handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """One client connection: requests until it closes or asks to."""
+        try:
+            keep_alive = True
+            while keep_alive and not self._closing:
+                self._idle.add(writer)
+                try:
+                    head = await self._read_head(reader)
+                except _BadHead as exc:
+                    payload = {
+                        "status": "error",
+                        "error": {"kind": "bad_request", "message": str(exc)},
+                    }
+                    self._write(writer, exc.status, payload, False)
+                    await writer.drain()
+                    return
+                finally:
+                    self._idle.discard(writer)
+                if head is None:
+                    return
+                method, path, keep_alive, length = head
+                body = await reader.readexactly(length) if length else b""
+                try:
+                    payload = await self.respond(method, path, body)
+                except Exception as exc:
+                    payload = error_payload(exc)
+                status = reply_status(payload)
+                if self.verbose:
+                    sys.stderr.write(f"{self.name} - {method} {path} {status}\n")
+                keep_alive = keep_alive and not self._closing
+                self._write(writer, status, payload, keep_alive)
+                await writer.drain()
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # client vanished mid-request; nothing to answer
+        finally:
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    @staticmethod
+    async def _read_head(
+        reader: asyncio.StreamReader,
+    ) -> tuple[str, str, bool, int] | None:
+        """``(method, path, keep_alive, content_length)``; ``None`` at end of stream."""
+        try:
+            line = await reader.readline()
+        except ValueError:  # no line end within MAX_LINE bytes
+            raise _BadHead(414, "request line is too long") from None
+        if not line:
+            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _BadHead(400, f"malformed request line {line[:80]!r}")
+        method, path, version = parts
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _BadHead(431, "header line is too long") from None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon:
+                raise _BadHead(400, f"malformed header line {line[:80]!r}")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _BadHead(431, f"more than {MAX_HEADERS} header lines")
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadHead(400, "Content-Length is not a non-negative integer")
+        keep_alive = (
+            version.upper() == "HTTP/1.1"
+            and headers.get("connection", "").lower() != "close"
+        )
+        return method.upper(), path, keep_alive, length
+
+    @staticmethod
+    def _write(
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: dict[str, Any],
+        keep_alive: bool,
     ) -> None:
         body = dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after:
-            self.send_header("Retry-After", "1")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error_payload(self, exc: BaseException) -> None:
-        payload = error_payload(exc)
-        status = ERROR_STATUS[payload["error"]["kind"]]
-        self._send_json(status, payload, retry_after=status == 503)
-
-    def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            raise ServiceError("request body is empty")
-        return loads(self.rfile.read(length))
-
-    # ------------------------------------------------------------------ #
-    # Routes
-    # ------------------------------------------------------------------ #
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if self.path == "/v1/healthz":
-            self._send_json(200, {"status": "ok"})
-        elif self.path == "/v1/readyz":
-            ready = self.service.ready
-            self._send_json(
-                200 if ready else 503,
-                {
-                    "status": "ok" if ready else "error",
-                    "ready": ready,
-                    **(
-                        {}
-                        if ready
-                        else {
-                            "error": {
-                                "kind": "not_ready",
-                                "message": "service is draining",
-                            }
-                        }
-                    ),
-                },
-                retry_after=not ready,
-            )
-        elif self.path == "/v1/stats":
-            self._send_json(200, {"status": "ok", "stats": self.service.stats()})
-        elif (match := _WORKFLOW_SYNC_RE.match(self.path)) is not None:
-            try:
-                response = self.service.workflow_sync_pull(match.group(1))
-            except Exception as exc:
-                self._send_error_payload(exc)
-                return
-            self._send_json(200, response)
-        elif (match := _WORKFLOW_STATUS_RE.match(self.path)) is not None:
-            try:
-                response = self.service.workflow_status(match.group(1))
-            except Exception as exc:
-                self._send_error_payload(exc)
-                return
-            self._send_json(200, response)
-        else:
-            self._send_json(
-                404,
-                {
-                    "status": "error",
-                    "error": {"kind": "not_found", "message": f"no route {self.path}"},
-                },
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            if self.path == "/v1/solve":
-                response = self.service.solve(self._read_body())
-            elif self.path == "/v1/solve_batch":
-                body = self._read_body()
-                response = {
-                    "status": "ok",
-                    "results": self.service.solve_batch(body.get("requests")),
-                }
-            elif self.path == "/v1/workflows":
-                response = self.service.register_workflow(self._read_body())
-            elif (match := _WORKFLOW_EVENTS_RE.match(self.path)) is not None:
-                response = self.service.workflow_event(
-                    match.group(1), self._read_body()
-                )
-            elif (match := _WORKFLOW_SYNC_RE.match(self.path)) is not None:
-                response = self.service.workflow_sync_push(
-                    match.group(1), self._read_body()
-                )
-            else:
-                self._send_json(
-                    404,
-                    {
-                        "status": "error",
-                        "error": {
-                            "kind": "not_found",
-                            "message": f"no route {self.path}",
-                        },
-                    },
-                )
-                return
-        except Exception as exc:
-            self._send_error_payload(exc)
-            return
-        self._send_json(200, response)
+        head = [
+            f"HTTP/1.1 {status} {http.client.responses.get(status, 'OK')}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        if status == 503:
+            head.append("Retry-After: 1")
+        head.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
 
 
-def make_server(
-    service: SchedulingService,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """Bind (but do not start) the HTTP server around ``service``.
+class ServiceServer(HttpServer):
+    """A node's routes, over an :class:`AsyncServiceCore` for its service.
 
-    ``port=0`` binds an ephemeral free port; read the actual one from
-    ``server.server_address[1]``.
+    ``default_timeout`` is the core's: a per-waiter deadline on
+    ``/v1/solve``, a per-job one on ``/v1/solve_batch``.
     """
-    server = ThreadingHTTPServer((host, port), ServiceRequestHandler)
-    server.daemon_threads = True
-    server.service = service  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    return server
+
+    name = "repro.service"
+
+    def __init__(
+        self,
+        service: SchedulingService,
+        *,
+        default_timeout: float | None = None,
+        verbose: bool = False,
+    ) -> None:
+        super().__init__(verbose=verbose)
+        self.service = service
+        self.core = AsyncServiceCore(service, default_timeout=default_timeout)
+
+    async def start(self) -> None:
+        await self.core.start()
+
+    async def drain(self) -> None:
+        await self.core.drain()
+
+    async def close(self) -> None:
+        await self.core.aclose()
+
+    async def respond(self, method: str, path: str, body: bytes) -> dict[str, Any]:
+        service = self.service
+        if method == "GET":
+            if path == "/v1/healthz":
+                return {"status": "ok"}
+            if path == "/v1/readyz":
+                return readiness(service.ready, "service is draining")
+            if path == "/v1/stats":
+                return {"status": "ok", "stats": await off_loop(self.core.stats)}
+            if (match := _WORKFLOW_SYNC_RE.match(path)) is not None:
+                return await off_loop(service.workflow_sync_pull, match.group(1))
+            if (match := _WORKFLOW_STATUS_RE.match(path)) is not None:
+                return await off_loop(service.workflow_status, match.group(1))
+        elif method == "POST":
+            if path == "/v1/solve":
+                return await self.core.solve(self.json(body))
+            if path == "/v1/solve_batch":
+                results = await self.core.solve_batch(batch_requests(self.json(body)))
+                return {"results": results, "status": "ok"}
+            if path == "/v1/workflows":
+                return await off_loop(service.register_workflow, self.json(body))
+            if (match := _WORKFLOW_EVENTS_RE.match(path)) is not None:
+                return await off_loop(
+                    service.workflow_event, match.group(1), self.json(body)
+                )
+            if (match := _WORKFLOW_SYNC_RE.match(path)) is not None:
+                return await off_loop(
+                    service.workflow_sync_push, match.group(1), self.json(body)
+                )
+        return not_found(path)
+
+
+# ---------------------------------------------------------------------- #
+# Entry points
+# ---------------------------------------------------------------------- #
+
+
+def run_server(server: HttpServer, *, host: str, port: int, details: str) -> int:
+    """Serve until SIGTERM or Ctrl-C, then drain; returns the exit code.
+
+    Prints ``<name> listening on http://host:port (<details>)`` once the
+    port is bound (fleet tooling scrapes the port from it) and
+    ``<name> drained cleanly`` on the way out.
+    """
+
+    async def main() -> int:
+        listener = await server.listen(host, port)
+        bound_host, bound_port = listener.sockets[0].getsockname()[:2]
+        print(
+            f"{server.name} listening on http://{bound_host}:{bound_port} ({details})",
+            flush=True,
+        )
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # not the main thread or not unix: rely on KeyboardInterrupt
+        try:
+            await stop.wait()
+        finally:
+            await server.shutdown(listener, drain=True)
+            print(f"{server.name} drained cleanly", flush=True)
+        return 0
+
+    try:
+        return asyncio.run(main())
+    except KeyboardInterrupt:
+        return 0
 
 
 def serve(
@@ -258,15 +432,19 @@ def serve(
     router fails over), in-flight jobs finish, and the disk cache tier is
     flushed before the process exits.
 
-    ``live_peers`` are sibling base URLs the live-workflow log replicates
-    to (and heals from).
+    ``default_timeout`` is a deadline per waiter: a ``/v1/solve`` waiter
+    that outlives it gets a 504 (or the degraded answer) while the solve
+    runs on and still fills the cache; a ``/v1/solve_batch`` job carries
+    it as its own timeout.  ``live_peers`` are sibling base URLs the
+    live-workflow log replicates to (and heals from).
     """
+    # Executor jobs for /v1/solve run without a timer, so a solve outlives
+    # a waiter that gave up; the core enforces the deadline per waiter.
     service = SchedulingService(
         max_workers=max_workers,
         queue_size=queue_size,
         cache_size=cache_size,
         cache_dir=cache_dir,
-        default_timeout=default_timeout,
         degrade_on_timeout=degrade_on_timeout,
         live_dir=live_dir,
         live_node=f"{host}:{port}",
@@ -274,37 +452,75 @@ def serve(
         live_checkpoint_interval=live_checkpoint_interval,
         live_retention=live_retention,
     )
-    server = make_server(service, host=host, port=port, verbose=verbose)
-    bound_host, bound_port = server.server_address[:2]
-    print(
-        f"repro.service listening on http://{bound_host}:{bound_port} "
-        f"(workers={max_workers}, queue={queue_size}, cache={cache_size}"
+    server = ServiceServer(service, default_timeout=default_timeout, verbose=verbose)
+    details = (
+        f"workers={max_workers}, queue={queue_size}, cache={cache_size}"
         + (f", cache_dir={cache_dir}" if cache_dir else "")
         + (f", live_dir={live_dir}" if live_dir else "")
         + (f", live_peers={len(live_peers)}" if live_peers else "")
         + (", degrade_on_timeout" if degrade_on_timeout else "")
-        + ")",
-        flush=True,
     )
+    return run_server(server, host=host, port=port, details=details)
 
-    def _on_sigterm(signum: int, frame: Any) -> None:
-        # serve_forever() must be unblocked from another thread; the
-        # graceful drain itself runs in the finally block below.
-        threading.Thread(target=server.shutdown, daemon=True).start()
 
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-    except ValueError:
-        pass  # not the main thread (embedded/test use); rely on KeyboardInterrupt
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.drain()
-        print("repro.service drained cleanly", flush=True)
-    return 0
+class BackgroundServer:
+    """An :class:`HttpServer` on its own event loop in a daemon thread.
+
+    For tests and harnesses: binds ``127.0.0.1`` on an ephemeral port,
+    exposes :attr:`base_url`, and stops on :meth:`stop` without a drain —
+    the caller owns the service or router behind the server.
+    """
+
+    def __init__(self, server: HttpServer) -> None:
+        self.server = server
+        self.port: int | None = None
+        self._ready = threading.Event()
+        self._failure: BaseException | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._stop: asyncio.Event | None = None
+        self._thread = threading.Thread(
+            target=self._run, name=f"{server.name}-loop", daemon=True
+        )
+        self._thread.start()
+        if not self._ready.wait(timeout=10.0):
+            raise ServiceError("background server failed to start within 10s")
+        if self._failure is not None:
+            raise ServiceError(
+                f"background server failed to start: {self._failure}"
+            ) from self._failure
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self.port}"
+
+    def _run(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except BaseException as exc:  # noqa: B036  # lint: ignore[RS602] - raised by starter
+            self._failure = exc
+            self._ready.set()
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        listener = await self.server.listen("127.0.0.1", 0)
+        self.port = listener.sockets[0].getsockname()[1]
+        self._stop = asyncio.Event()
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            await self.server.shutdown(listener, drain=False)
+
+    def stop(self) -> None:
+        if self._loop is not None and self._stop is not None:
+            self._loop.call_soon_threadsafe(self._stop.set)
+        self._thread.join(timeout=10.0)
+
+    def __enter__(self) -> "BackgroundServer":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
 
 
 def _parse_retry_after(value: str | None) -> float | None:

@@ -25,8 +25,8 @@ Resilience machinery around the bare routing:
   Hedging is safe here because solves are deterministic and memoized —
   duplicated work costs CPU, never correctness.
 
-:func:`make_router_server` / :func:`serve_router` expose the router over
-the same HTTP surface as a node (``repro route``): ``/v1/solve``,
+:class:`RouterServer` / :func:`serve_router` expose the router over the
+same HTTP server and surface as a node (``repro route``): ``/v1/solve``,
 ``/v1/solve_batch``, the live-workflow trio (``/v1/workflows``,
 ``/v1/workflows/<id>/events``, ``/v1/workflows/<id>``), aggregated
 ``/v1/stats``, ``/v1/healthz``, ``/v1/readyz``.
@@ -52,7 +52,6 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Mapping, Sequence
-from http.server import ThreadingHTTPServer
 from typing import Any
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
@@ -62,13 +61,18 @@ from repro.exceptions import (
     ServiceError,
     TransientServiceError,
 )
-from repro.service.app import ERROR_STATUS, error_payload
+from repro.service.app import error_payload
 from repro.service.codec import dumps
 from repro.service.http import (
     _WORKFLOW_EVENTS_RE,
     _WORKFLOW_STATUS_RE,
+    HttpServer,
     ServiceClient,
-    ServiceRequestHandler,
+    batch_requests,
+    not_found,
+    off_loop,
+    readiness,
+    run_server,
 )
 from repro.service.keys import (
     derive_workflow_id,
@@ -81,8 +85,7 @@ from repro.service.resilience import CircuitBreaker, RetryPolicy
 __all__ = [
     "NodeHandle",
     "ShardRouter",
-    "RouterRequestHandler",
-    "make_router_server",
+    "RouterServer",
     "serve_router",
 ]
 
@@ -544,110 +547,47 @@ class ShardRouter:
 
 
 # --------------------------------------------------------------------- #
-# HTTP front-end (`repro route`)
+# HTTP server (`repro route`)
 # --------------------------------------------------------------------- #
 
 
-class RouterRequestHandler(ServiceRequestHandler):
-    """The node handler's routes, re-targeted at a :class:`ShardRouter`."""
+class RouterServer(HttpServer):
+    """A node's client-facing routes, answered by a :class:`ShardRouter`.
 
-    server_version = "repro-router/1"
+    Every router call blocks on node round trips, retries and backoff,
+    so each one runs on the loop's default executor.
+    """
 
-    @property
-    def router(self) -> ShardRouter:
-        return self.server.router  # type: ignore[attr-defined]
+    name = "repro.router"
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        if self.path == "/v1/healthz":
-            self._send_json(200, {"status": "ok"})
-        elif self.path == "/v1/readyz":
-            ready = self.router.ready
-            body: dict[str, Any] = {
-                "status": "ok" if ready else "error",
-                "ready": ready,
-            }
-            if not ready:
-                body["error"] = {
-                    "kind": "not_ready",
-                    "message": "every node's circuit breaker is open",
-                }
-            self._send_json(200 if ready else 503, body, retry_after=not ready)
-        elif self.path == "/v1/stats":
-            self._send_json(
-                200, {"status": "ok", "stats": self.router.aggregated_stats()}
-            )
-        elif (match := _WORKFLOW_STATUS_RE.match(self.path)) is not None:
-            try:
-                response = self.router.workflow_status(match.group(1))
-            except Exception as exc:
-                self._send_error_payload(exc)
-                return
-            status = _body_status(response)
-            self._send_json(status, response, retry_after=status == 503)
-        else:
-            self._send_json(
-                404,
-                {
-                    "status": "error",
-                    "error": {"kind": "not_found", "message": f"no route {self.path}"},
-                },
-            )
+    def __init__(self, router: ShardRouter, *, verbose: bool = False) -> None:
+        super().__init__(verbose=verbose)
+        self.router = router
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        try:
-            if self.path == "/v1/solve":
-                response = self.router.solve(self._read_body())
-            elif self.path == "/v1/solve_batch":
-                body = self._read_body()
-                response = {
-                    "status": "ok",
-                    "results": self.router.solve_batch(body.get("requests")),
-                }
-            elif self.path == "/v1/workflows":
-                response = self.router.register_workflow(self._read_body())
-            elif (match := _WORKFLOW_EVENTS_RE.match(self.path)) is not None:
-                response = self.router.workflow_event(
-                    match.group(1), self._read_body()
+    async def respond(self, method: str, path: str, body: bytes) -> dict[str, Any]:
+        router = self.router
+        if method == "GET":
+            if path == "/v1/healthz":
+                return {"status": "ok"}
+            if path == "/v1/readyz":
+                return readiness(router.ready, "every node's circuit breaker is open")
+            if path == "/v1/stats":
+                return {"status": "ok", "stats": await off_loop(router.aggregated_stats)}
+            if (match := _WORKFLOW_STATUS_RE.match(path)) is not None:
+                return await off_loop(router.workflow_status, match.group(1))
+        elif method == "POST":
+            if path == "/v1/solve":
+                return await off_loop(router.solve, self.json(body))
+            if path == "/v1/solve_batch":
+                requests = batch_requests(self.json(body))
+                return {"results": await off_loop(router.solve_batch, requests), "status": "ok"}
+            if path == "/v1/workflows":
+                return await off_loop(router.register_workflow, self.json(body))
+            if (match := _WORKFLOW_EVENTS_RE.match(path)) is not None:
+                return await off_loop(
+                    router.workflow_event, match.group(1), self.json(body)
                 )
-            else:
-                self._send_json(
-                    404,
-                    {
-                        "status": "error",
-                        "error": {
-                            "kind": "not_found",
-                            "message": f"no route {self.path}",
-                        },
-                    },
-                )
-                return
-        except Exception as exc:
-            self._send_error_payload(exc)
-            return
-        status = _body_status(response)
-        self._send_json(status, response, retry_after=status == 503)
-
-
-def _body_status(response: dict[str, Any]) -> int:
-    """HTTP status for a routed response body (pass-through mapping)."""
-    if response.get("status") != "error":
-        return 200
-    return ERROR_STATUS.get(response.get("error", {}).get("kind"), 400)
-
-
-def make_router_server(
-    router: ShardRouter,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """Bind (but do not start) the HTTP server around ``router``."""
-    server = ThreadingHTTPServer((host, port), RouterRequestHandler)
-    server.daemon_threads = True
-    server.router = router  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
-    return server
+        return not_found(path)
 
 
 def serve_router(
@@ -681,22 +621,13 @@ def serve_router(
         prefix_len=prefix_len,
         hedge_delay=hedge_delay,
     )
-    server = make_router_server(router, host=host, port=port, verbose=verbose)
-    bound_host, bound_port = server.server_address[:2]
-    print(
-        f"repro.router listening on http://{bound_host}:{bound_port} "
-        f"(nodes={len(nodes)}, prefix_len={prefix_len}, "
-        f"retries={max_retries}"
+    details = (
+        f"nodes={len(nodes)}, prefix_len={prefix_len}, retries={max_retries}"
         + (f", hedge_delay={hedge_delay:g}s" if hedge_delay is not None else "")
-        + ")",
-        flush=True,
     )
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        return run_server(
+            RouterServer(router, verbose=verbose), host=host, port=port, details=details
+        )
     finally:
-        server.server_close()
-        final = dumps(router.stats())
-        sys.stderr.write(f"repro.router final stats: {final}\n")
-    return 0
+        sys.stderr.write(f"repro.router final stats: {dumps(router.stats())}\n")

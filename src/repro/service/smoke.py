@@ -1,9 +1,9 @@
 """End-to-end service smoke test (the CI ``service-smoke`` job).
 
-Launches ``repro serve`` (or ``repro serve --async`` with ``--async``) as
-a real subprocess on an ephemeral port, submits the example workload
-twice — the second time with the module list *and* the VM-type catalog
-permuted — then the unpermuted workload at a new budget, and asserts:
+Launches ``repro serve`` as a real subprocess on an ephemeral port,
+submits the example workload twice — the second time with the module
+list *and* the VM-type catalog permuted — then the unpermuted workload
+at a new budget, and asserts:
 
 * every response carries a valid, budget-respecting schedule;
 * the second response is a cache hit with a byte-identical schedule
@@ -14,9 +14,8 @@ permuted — then the unpermuted workload at a new budget, and asserts:
 * a ``/v1/solve_batch`` of three new budgets plus a duplicate is
   byte-identical to an in-process ``solve_batch``, and ran the three
   misses as one grouped job (``batch.grouped_items >= 3``,
-  ``batch.deduped >= 1``) — on either front end — with one problem-memo
-  lookup for its one problem (``problems.hash_hits + hash_misses`` grew
-  by exactly 1);
+  ``batch.deduped >= 1``) with one problem-memo lookup for its one
+  problem (``problems.hash_hits + hash_misses`` grew by exactly 1);
 * ``/v1/stats`` reports at least one hit and one miss.
 
 The final ``/v1/stats`` body is written to ``--out`` so CI can upload it
@@ -25,7 +24,6 @@ as an artifact.  Exits non-zero on any violated assertion.
 Usage::
 
     python -m repro.service.smoke --out service_stats.json
-    python -m repro.service.smoke --async --out service_stats_async.json
 """
 
 from __future__ import annotations
@@ -73,20 +71,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.service.smoke")
     parser.add_argument("--out", default="service_stats.json")
     parser.add_argument("--budget", type=float, default=57.0)
-    parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="boot the asyncio front end (repro serve --async)",
-    )
     parser.add_argument("--startup-timeout", type=float, default=30.0)
     args = parser.parse_args(argv)
 
-    command = [sys.executable, "-m", "repro", "serve", "--port", "0"]
-    if args.use_async:
-        command.append("--async")
     server = subprocess.Popen(
-        command,
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

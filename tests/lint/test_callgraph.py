@@ -144,6 +144,39 @@ class TestCallEdges:
         assert "codec::Codec.__init__" not in index.callees("app::App.handle")
         assert index.callees("app::App.handle") == ("codec::Codec.encode",)
 
+    def test_annotated_parameter_types_the_attribute(self, tmp_path):
+        # ``self.codec = codec`` from an annotated ``codec: Codec``
+        # parameter (bare or string annotation) types the attribute too.
+        index = index_tree(
+            tmp_path,
+            {
+                "codec.py": """\
+                class Codec:
+                    def encode(self):
+                        return b""
+                """,
+                "app.py": """\
+                from codec import Codec
+
+                class App:
+                    def __init__(self, codec: Codec, spare: "Codec", n: int = 0):
+                        self.codec = codec
+                        self.spare = spare
+                        self.n = n
+
+                    def handle(self):
+                        return self.codec.encode()
+
+                    def handle_spare(self):
+                        return self.spare.encode()
+                """,
+            },
+        )
+        app = index.classes["app::App"]
+        assert app.attr_types == {"codec": "codec::Codec", "spare": "codec::Codec"}
+        assert index.callees("app::App.handle") == ("codec::Codec.encode",)
+        assert index.callees("app::App.handle_spare") == ("codec::Codec.encode",)
+
     def test_relative_import_resolution(self, tmp_path):
         index = index_tree(
             tmp_path,

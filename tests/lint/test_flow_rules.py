@@ -462,6 +462,71 @@ class TestRT703AsyncioHandlerPath:
         assert "an HTTP handler path" in hits[0].message
         assert "an asyncio handler path" not in hits[0].message
 
+    # A node server holds its core, and the core its service, through
+    # attributes assigned from annotated __init__ parameters; the drill
+    # is a disk read reached only through them.
+    _LAYERED = {
+        "service/store.py": """\
+            __all__ = ["Store"]
+
+
+            class Store:
+                def get(self, path):
+                    return path.read_text()
+            """,
+        "service/core.py": """\
+            from repro.service.store import Store
+
+            __all__ = ["Core"]
+
+
+            class Core:
+                def __init__(self, store: Store) -> None:
+                    self.store = store
+
+                async def solve(self, path):
+                    return self.store.get(path)
+            """,
+    }
+
+    def test_blocking_call_behind_annotated_attributes(self, tmp_path):
+        report = deep_lint(
+            tmp_path,
+            {
+                **self._LAYERED,
+                "service/server.py": """\
+                from repro.service.core import Core
+
+                __all__ = ["Server"]
+
+
+                class Server:
+                    def __init__(self, core: "Core", *, verbose: bool = False) -> None:
+                        self.core = core
+                        self.verbose = verbose
+
+                    async def respond(self, path):
+                        return await self.core.solve(path)
+                """,
+            },
+        )
+        hits = [d for d in report if d.rule == "RT703"]
+        assert len(hits) == 1
+        assert ".read_text()" in hits[0].message
+        assert "an asyncio handler path" in hits[0].message
+        assert "Core.solve -> Store.get" in hits[0].message
+
+    def test_blocking_call_handed_to_an_executor_is_clean(self, tmp_path):
+        files = dict(self._LAYERED)
+        files["service/core.py"] = files["service/core.py"].replace(
+            "return self.store.get(path)",
+            "return await asyncio.get_running_loop().run_in_executor(\n"
+            "                        None, self.store.get, path\n"
+            "                    )",
+        ).replace("from repro", "import asyncio\n\n            from repro")
+        report = deep_lint(tmp_path, files)
+        assert "RT703" not in rules_of(report)
+
     def test_lint_pragma_suppresses_async_finding(self, tmp_path):
         report = deep_lint(
             tmp_path,

@@ -1,5 +1,5 @@
 """AsyncServiceCore end-to-end: parity with the serial service, coalescing
-counters, backpressure, per-waiter timeouts, batch streaming.
+counters, backpressure, per-waiter timeouts, the batch endpoint.
 
 The Hypothesis class is the acceptance property: any interleaving of
 duplicate and near-duplicate solve requests through the coalescer and
@@ -228,6 +228,8 @@ class TestBackpressureAndTimeouts:
 
 
 class TestBatchStream:
+    """``/v1/solve_batch`` on the core against the in-process ``solve_batch``."""
+
     def test_stream_matches_threaded_batch(self, payload):
         items = [
             dict(payload, budget=57.0),
@@ -237,47 +239,46 @@ class TestBatchStream:
         ]
 
         with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
-            threaded = ref.solve_batch([dict(item) for item in items])
+            in_process = ref.solve_batch([dict(item) for item in items])
 
         async def body(svc, core):
-            stream = core.solve_batch_stream([dict(item) for item in items])
-            return [item async for item in stream], core.stats()
+            return await core.solve_batch([dict(item) for item in items]), core.stats()
 
-        streamed, stats = run(with_core(body))
-        assert len(streamed) == len(threaded)
-        for ours, theirs in zip(streamed, threaded):
+        served, stats = run(with_core(body))
+        assert len(served) == len(in_process)
+        for ours, theirs in zip(served, in_process):
             assert ours["status"] == theirs["status"]
             if theirs["status"] == "ok":
                 assert dumps(ours["result"]) == dumps(theirs["result"])
             else:
                 assert ours["error"]["kind"] == theirs["error"]["kind"]
-        assert streamed[1]["deduped"] is True
-        assert "deduped" not in streamed[0]
+        assert served[1]["deduped"] is True
+        assert "deduped" not in served[0]
         assert stats["batch"]["deduped"] >= 1
 
     def test_misses_on_one_payload_run_as_one_grouped_job(self, payload):
-        # The async endpoint plans through the threaded endpoint's
+        # The async endpoint plans through the in-process solve_batch's
         # planner: three budgets of one payload are one executor job.
         items = [dict(payload, budget=b) for b in (52.0, 57.0, 64.0)]
         with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
-            threaded = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
+            in_process = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
         with SchedulingService(max_workers=1, queue_size=8, cache_size=8) as ref:
             serial = [dumps(ref.solve(dict(i))) for i in items]
 
         async def body(svc, core):
-            stream = core.solve_batch_stream([dict(i) for i in items])
-            return [dumps(item) async for item in stream], core.stats()
+            responses = await core.solve_batch([dict(i) for i in items])
+            return [dumps(item) for item in responses], core.stats()
 
-        streamed, stats = run(with_core(body))
+        served, stats = run(with_core(body))
         assert stats["batch"] == {"deduped": 0, "grouped_items": 3, "grouped_runs": 1}
         assert stats["executor"]["submitted"] == 1
-        assert streamed == threaded == serial
+        assert served == in_process == serial
 
     @pytest.mark.parametrize("degrade", [False, True])
     def test_item_held_past_its_timeout(self, payload, degrade):
         """A held grouped job times out on its own deadline: every item
         answers ``timeout``, or the degraded least-cost schedule —
-        byte-identical to the threaded endpoint under the same hold."""
+        byte-identical to the in-process solve_batch under the same hold."""
         items = [dict(payload, budget=b, timeout=0.05) for b in (57.0, 64.0)]
 
         def held_service():
@@ -295,7 +296,7 @@ class TestBatchStream:
 
         ref, ref_gate = held_service()
         try:
-            threaded = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
+            in_process = [dumps(r) for r in ref.solve_batch([dict(i) for i in items])]
         finally:
             ref_gate.set()
             ref.close()
@@ -304,28 +305,27 @@ class TestBatchStream:
 
         async def body(svc, core):
             try:
-                stream = core.solve_batch_stream([dict(i) for i in items])
-                return [item async for item in stream], core.stats()
+                return await core.solve_batch([dict(i) for i in items]), core.stats()
             finally:
                 gate.set()
 
-        streamed, stats = run(with_core(body, service=svc))
+        served, stats = run(with_core(body, service=svc))
         if degrade:
-            assert all(r["degraded"] is True for r in streamed)
-            assert all(r["result"]["engine"] == "degraded" for r in streamed)
+            assert all(r["degraded"] is True for r in served)
+            assert all(r["result"]["engine"] == "degraded" for r in served)
             assert stats["degraded"] == 2
         else:
-            assert [r["error"]["kind"] for r in streamed] == ["timeout", "timeout"]
-        assert [dumps(r) for r in streamed] == threaded
-        # The deadline is the job's, as on the threaded endpoint.
+            assert [r["error"]["kind"] for r in served] == ["timeout", "timeout"]
+        assert [dumps(r) for r in served] == in_process
+        # The deadline is the job's, as in the in-process solve_batch.
         assert stats["executor"]["timeout"] == 1
         assert stats["batch"]["grouped_runs"] == 1
 
     def test_non_array_body_raises_before_streaming(self, payload):
         async def body(svc, core):
             with pytest.raises(Exception, match="must be an array"):
-                core.solve_batch_stream({"oops": True})
-            return True
+                await core.solve_batch({"oops": True})
+            return svc.executor.stats()["submitted"] == 0
 
         assert run(with_core(body))
 

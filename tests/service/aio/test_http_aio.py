@@ -1,31 +1,27 @@
-"""Async HTTP front-end tests: threaded client parity, coalescing, stats.
+"""The async core over HTTP: coalescing, the shared executor, stats.
 
-The threaded :class:`ServiceClient` is used unchanged against the async
-server — wire compatibility is part of the contract (chunked batch
-responses are reassembled transparently by ``urllib``).
+The blocking :class:`ServiceClient` talks to the asyncio server; batch
+answers are checked against the in-process ``solve_batch``.
 """
 
-import json
 import threading
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.algorithms.critical_greedy import CriticalGreedyScheduler
 from repro.core.serialize import problem_to_dict
-from repro.service.aio.http import BackgroundAsyncServer
 from repro.service.app import SchedulingService
 from repro.service.codec import dumps
-from repro.service.http import ServiceClient, make_server
+from repro.service.http import BackgroundServer, ServiceClient, ServiceServer
 
 
 @pytest.fixture
 def async_served():
-    """(service, server, threaded client) around a live async node."""
+    """(service, server, client) around a live node."""
     service = SchedulingService(max_workers=2, queue_size=8, cache_size=32)
-    with BackgroundAsyncServer(service) as server:
+    with BackgroundServer(ServiceServer(service)) as server:
         yield service, server, ServiceClient(server.base_url)
     service.close()
 
@@ -45,27 +41,6 @@ class TestRoutes:
         response = client._request("/v1/nope")
         assert response["status"] == "error"
         assert response["error"]["kind"] == "not_found"
-
-    def test_solve_parity_with_threaded_server(self, async_served, request_payload):
-        service, _, client = async_served
-        threaded_service = SchedulingService(
-            max_workers=2, queue_size=8, cache_size=32
-        )
-        threaded = make_server(threaded_service)
-        thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-        thread.start()
-        threaded_client = ServiceClient(
-            f"http://127.0.0.1:{threaded.server_address[1]}"
-        )
-        try:
-            ours = client.solve(request_payload)
-            theirs = threaded_client.solve(request_payload)
-            assert ours["status"] == theirs["status"] == "ok"
-            assert dumps(ours["result"]) == dumps(theirs["result"])
-        finally:
-            threaded.shutdown()
-            threaded.server_close()
-            threaded_service.close()
 
     def test_solve_replay_cache_hit(self, async_served, request_payload):
         _, _, client = async_served
@@ -92,7 +67,7 @@ class TestRoutes:
 
 
 class TestBatchEndpoint:
-    def test_chunked_batch_parity_and_dedupe(self, async_served, request_payload):
+    def test_batch_parity_and_dedupe(self, async_served, request_payload):
         _, _, client = async_served
         items = [
             dict(request_payload),
@@ -104,27 +79,11 @@ class TestBatchEndpoint:
         assert response["status"] == "ok"
         results = response["results"]
         assert len(results) == 4
-        assert results[0]["status"] == "ok"
         assert results[1]["deduped"] is True
-        assert dumps(results[1]["result"]) == dumps(results[0]["result"])
-        assert results[2]["status"] == "ok"
-        assert results[3]["status"] == "error"
         assert results[3]["error"]["kind"] == "bad_request"
-
-    def test_batch_response_is_chunked_on_the_wire(
-        self, async_served, request_payload
-    ):
-        _, server, _ = async_served
-        body = json.dumps({"requests": [request_payload]}).encode()
-        request = urllib.request.Request(
-            f"{server.base_url}/v1/solve_batch",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30) as response:
-            assert response.headers.get("Transfer-Encoding") == "chunked"
-            payload = json.loads(response.read())
-        assert payload["status"] == "ok"
+        with SchedulingService(max_workers=1) as local:
+            expected = local.solve_batch([dict(item) for item in items])
+        assert dumps(results) == dumps(expected)
 
     def test_non_array_requests_is_bad_request(self, async_served):
         _, _, client = async_served

@@ -3,7 +3,6 @@ end-to-end against a real in-process service."""
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import pytest
@@ -12,7 +11,7 @@ from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceError, TransientServiceError
 from repro.service.app import SchedulingService
 from repro.service.chaos import ChaosConfig, ChaosProxy
-from repro.service.http import ServiceClient, make_server
+from repro.service.http import BackgroundServer, ServiceClient, ServiceServer
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 from repro.service.router import NodeHandle, ShardRouter
 from repro.workloads import example_problem
@@ -24,14 +23,10 @@ REQUEST = {"problem": problem_to_dict(example_problem()), "budget": 57.0}
 def running_service(**kwargs):
     """An in-process SchedulingService behind a real HTTP server."""
     service = SchedulingService(**kwargs)
-    server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", service
+        with BackgroundServer(ServiceServer(service)) as server:
+            yield server.base_url, service
     finally:
-        server.shutdown()
-        server.server_close()
         service.drain()
 
 

@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 from contextlib import contextmanager
 
@@ -17,7 +16,7 @@ import pytest
 from repro.core.serialize import problem_to_dict
 from repro.exceptions import ServiceOverloadedError
 from repro.service.app import SchedulingService
-from repro.service.http import ServiceClient, make_server
+from repro.service.http import BackgroundServer, ServiceClient, ServiceServer
 from repro.workloads import example_problem
 
 REQUEST = {"problem": problem_to_dict(example_problem()), "budget": 57.0}
@@ -26,14 +25,10 @@ REQUEST = {"problem": problem_to_dict(example_problem()), "budget": 57.0}
 @contextmanager
 def running_service(**kwargs):
     service = SchedulingService(**kwargs)
-    server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}", service
+        with BackgroundServer(ServiceServer(service)) as server:
+            yield server.base_url, service
     finally:
-        server.shutdown()
-        server.server_close()
         service.drain()
 
 

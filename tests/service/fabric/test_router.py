@@ -1,4 +1,4 @@
-"""ShardRouter tests: sharding, failover, breakers, hedging, HTTP front-end."""
+"""ShardRouter tests: sharding, failover, breakers, hedging, HTTP server."""
 
 from __future__ import annotations
 
@@ -12,15 +12,10 @@ from repro.exceptions import (
     ServiceError,
     TransientServiceError,
 )
-from repro.service.http import ServiceClient
+from repro.service.http import BackgroundServer, ServiceClient, reply_status
 from repro.service.keys import problem_hash
 from repro.service.resilience import CircuitBreaker, RetryPolicy
-from repro.service.router import (
-    NodeHandle,
-    ShardRouter,
-    _body_status,
-    make_router_server,
-)
+from repro.service.router import NodeHandle, RouterServer, ShardRouter
 
 OK_BODY = {
     "status": "ok",
@@ -367,10 +362,10 @@ class TestBodyStatus:
     )
     def test_error_kinds(self, kind, status):
         body = {"status": "error", "error": {"kind": kind}}
-        assert _body_status(body) == status
+        assert reply_status(body) == status
 
     def test_ok_is_200(self):
-        assert _body_status({"status": "ok"}) == 200
+        assert reply_status({"status": "ok"}) == 200
 
 
 class TestRouterHTTP:
@@ -378,15 +373,8 @@ class TestRouterHTTP:
     def served(self):
         a, b = FakeClient(), FakeClient()
         router = make_router([a, b])
-        server = make_router_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            yield url, router, (a, b)
-        finally:
-            server.shutdown()
-            server.server_close()
+        with BackgroundServer(RouterServer(router)) as server:
+            yield server.base_url, router, (a, b)
 
     def test_healthz_and_readyz(self, served):
         url, _, _ = served
@@ -424,20 +412,56 @@ class TestRouterHTTP:
         body = client._request("/v1/nope")
         assert body["error"]["kind"] == "not_found"
 
+    def test_blocking_router_calls_run_off_the_loop(self):
+        # Two nodes each hold a solve for 0.5 s; health checks on the
+        # same router keep answering while both solves are in flight.
+        router = make_router([FakeClient(delay=0.5), FakeClient(delay=0.5)])
+        with BackgroundServer(RouterServer(router)) as server:
+            client = ServiceClient(server.base_url)
+            slow = [
+                threading.Thread(target=client.solve, args=(request_for(tag),))
+                for tag in ("p", "q")
+            ]
+            for thread in slow:
+                thread.start()
+            time.sleep(0.1)
+            started = time.perf_counter()
+            assert client.healthz() == {"status": "ok"}
+            assert time.perf_counter() - started < 0.25
+            for thread in slow:
+                thread.join(timeout=5)
+        assert router.stats()["routed"] == 2
+
+    def test_routes_to_a_real_node_byte_identically(self, example_problem):
+        from repro.core.serialize import problem_to_dict
+        from repro.service.app import SchedulingService
+        from repro.service.codec import dumps
+        from repro.service.http import ServiceServer
+
+        request = {"problem": problem_to_dict(example_problem), "budget": 57.0}
+        batch = [dict(request, budget=b) for b in (52.0, 57.0, 64.0)]
+        with SchedulingService(max_workers=1) as local:
+            want = dumps(local.solve(dict(request)))
+            want_batch = dumps({"results": local.solve_batch(batch), "status": "ok"})
+        with SchedulingService(max_workers=2) as service:
+            with BackgroundServer(ServiceServer(service)) as node:
+                router = ShardRouter([NodeHandle(node.base_url)])
+                with BackgroundServer(RouterServer(router)) as server:
+                    client = ServiceClient(server.base_url)
+                    assert dumps(client.solve(dict(request))) == want
+                    served_batch = dumps(client.solve_batch(batch))
+                    stats = client.stats()["stats"]
+        assert served_batch == want_batch
+        assert stats["router"]["routed"] == 4
+        # The router forwards each batch item as one /v1/solve: the solve
+        # and the batch's two new budgets are the node's three flights.
+        assert stats["nodes"][node.base_url]["aio"]["flights_started"] == 3
+
     def test_readyz_503_when_all_breakers_open(self):
         breakers = [CircuitBreaker(failure_threshold=1, reset_timeout=30.0)]
         router = make_router([FakeClient()], breakers=breakers)
         breakers[0].record_failure()
-        server = make_router_server(router)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{server.server_address[1]}"
-            )
-            body = client._request("/v1/readyz")
+        with BackgroundServer(RouterServer(router)) as server:
+            body = ServiceClient(server.base_url)._request("/v1/readyz")
             assert body["ready"] is False
             assert body["error"]["kind"] == "not_ready"
-        finally:
-            server.shutdown()
-            server.server_close()

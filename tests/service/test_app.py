@@ -19,7 +19,7 @@ from repro.service.app import (
     error_payload,
 )
 from repro.service.codec import dumps
-from repro.service.router import _body_status
+from repro.service.http import reply_status
 
 
 @pytest.fixture
@@ -490,7 +490,7 @@ class TestBatchMemoLookups:
 
     @staticmethod
     def streamed(items):
-        """The async core's ``/v1/solve_batch`` over a fresh service."""
+        """The async core's ``/v1/solve_batch`` over a fresh service (as served)."""
         import asyncio
 
         from repro.service.aio.core import AsyncServiceCore
@@ -498,8 +498,7 @@ class TestBatchMemoLookups:
         async def run(svc):
             core = AsyncServiceCore(svc)
             try:
-                stream = core.solve_batch_stream(items)
-                return [dumps(r) async for r in stream], core.stats()
+                return [dumps(r) for r in await core.solve_batch(items)], core.stats()
             finally:
                 await core.aclose()
 
@@ -507,6 +506,7 @@ class TestBatchMemoLookups:
             return asyncio.run(run(svc))
 
     def threaded(self, items):
+        """The in-process, blocking ``solve_batch``."""
         with SchedulingService(max_workers=2, queue_size=8, cache_size=64) as svc:
             return [dumps(r) for r in svc.solve_batch(items)], svc.stats()
 
@@ -607,7 +607,7 @@ ERROR_CASES = [
 
 
 class TestErrorStatus:
-    """One kind → status table behind every front end and the router."""
+    """One kind → status table behind every node and the router."""
 
     @pytest.mark.parametrize(
         "exc,kind,status", ERROR_CASES, ids=[type(c[0]).__name__ for c in ERROR_CASES]
@@ -616,8 +616,9 @@ class TestErrorStatus:
         payload = error_payload(exc)
         assert payload["error"]["kind"] == kind
         assert ERROR_STATUS[kind] == status
-        # The router answers a relayed error body with the same status.
-        assert _body_status(payload) == status
+        # The server answers an error body, raised or relayed by the
+        # router, with the same status.
+        assert reply_status(payload) == status
 
     def test_table_covers_every_exception_class(self):
         classes = {

@@ -77,12 +77,35 @@ class TestMemoryTier:
         assert stats.hits + stats.misses == 800
 
 
+def _lookup(cache, key):
+    """Both tiers, as a miss's executor job reads them: memory, then disk."""
+    hit = cache.get(key)
+    return hit if hit is not None else cache.load(key)
+
+
 class TestDiskTier:
+    def test_get_probes_memory_only(self, tmp_path):
+        ResultCache(capacity=4, cache_dir=tmp_path).put(_key(1), {"v": 1})
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        assert cache.get(_key(1)) is None
+        stats = cache.stats()
+        assert stats.hits == stats.misses == stats.disk_hits == 0
+        assert cache.load(_key(1)) == {"v": 1}
+        assert cache.get(_key(1)) == {"v": 1}
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.disk_hits) == (2, 0, 1)
+
+    def test_load_counts_a_miss_on_both_tiers(self, tmp_path):
+        cache = ResultCache(capacity=4, cache_dir=tmp_path)
+        assert cache.get(_key(1)) is None
+        assert cache.load(_key(1)) is None
+        assert cache.stats().misses == 1
+
     def test_persists_across_instances(self, tmp_path):
         first = ResultCache(capacity=4, cache_dir=tmp_path)
         first.put(_key(1), {"cost": 2.0})
         second = ResultCache(capacity=4, cache_dir=tmp_path)
-        assert second.get(_key(1)) == {"cost": 2.0}
+        assert _lookup(second, _key(1)) == {"cost": 2.0}
         stats = second.stats()
         assert stats.disk_hits == 1
         assert stats.hits == 1
@@ -90,8 +113,8 @@ class TestDiskTier:
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         ResultCache(capacity=4, cache_dir=tmp_path).put(_key(1), {"v": 1})
         cache = ResultCache(capacity=4, cache_dir=tmp_path)
-        cache.get(_key(1))
-        cache.get(_key(1))
+        _lookup(cache, _key(1))
+        _lookup(cache, _key(1))
         stats = cache.stats()
         assert stats.hits == 2
         assert stats.disk_hits == 1  # second lookup served from memory
@@ -102,7 +125,7 @@ class TestDiskTier:
         path = tmp_path / f"{_key(1).digest()}.json"
         path.write_text("{torn write")
         cache.clear()
-        assert cache.get(_key(1)) is None
+        assert _lookup(cache, _key(1)) is None
 
     def test_stats_counts_disk_entries(self, tmp_path):
         cache = ResultCache(capacity=4, cache_dir=tmp_path)
@@ -133,7 +156,7 @@ class TestQuarantine:
         path = tmp_path / f"{_key(1).digest()}.json"
         path.write_text("{torn write")
         cache.clear()
-        assert cache.get(_key(1)) is None
+        assert _lookup(cache, _key(1)) is None
         assert cache.stats().quarantined == 1
         assert not path.exists()
         assert (tmp_path / "quarantine" / path.name).exists()
@@ -150,10 +173,10 @@ class TestQuarantine:
         path = tmp_path / f"{_key(1).digest()}.json"
         path.write_text("{torn write")
         cache.clear()
-        assert cache.get(_key(1)) is None
+        assert _lookup(cache, _key(1)) is None
         cache.put(_key(1), {"v": 2})
         fresh = ResultCache(capacity=4, cache_dir=tmp_path)
-        assert fresh.get(_key(1)) == {"v": 2}
+        assert _lookup(fresh, _key(1)) == {"v": 2}
         assert fresh.stats().quarantined == 0
 
 

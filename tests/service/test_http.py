@@ -1,7 +1,8 @@
-"""HTTP front-end tests against an in-process threaded server."""
+"""HTTP server tests against an in-process node on a background loop."""
 
 import http.client
 import json
+import socket
 import statistics
 import threading
 import time
@@ -15,23 +16,16 @@ from repro.core.serialize import problem_to_dict
 from repro.service.app import SchedulingService
 from repro.service.codec import dumps
 from repro.service.executor import JobExecutor
-from repro.service.http import ServiceClient, make_server
+from repro.service.http import MAX_LINE, BackgroundServer, ServiceClient, ServiceServer
 
 
 @pytest.fixture
 def served():
     """(service, client) around a live in-process HTTP server."""
     service = SchedulingService(max_workers=2, queue_size=8, cache_size=32)
-    server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    try:
-        yield service, client
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+    with BackgroundServer(ServiceServer(service)) as server:
+        yield service, ServiceClient(server.base_url)
+    service.close()
 
 
 @pytest.fixture
@@ -119,6 +113,79 @@ class TestRoutes:
             conn.close()
         assert statistics.median(round_trips) < 0.020
 
+    def test_batch_reply_is_one_content_length_body(self, served, request_payload):
+        service, client = served
+        batch = [request_payload, dict(request_payload, budget=64.0), {"budget": 1.0}]
+        port = urllib.parse.urlsplit(client.base_url).port
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request(
+                "POST",
+                "/v1/solve_batch",
+                body=dumps({"requests": batch}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            reply = conn.getresponse()
+            body = reply.read()
+        finally:
+            conn.close()
+        assert reply.status == 200
+        assert reply.getheader("Transfer-Encoding") is None
+        assert int(reply.getheader("Content-Length")) == len(body)
+        with SchedulingService(max_workers=1) as local:
+            results = local.solve_batch(json.loads(json.dumps(batch)))
+        assert body == dumps({"results": results, "status": "ok"}).encode()
+
+
+def _raw_exchange(port: int, request: bytes) -> tuple[int, dict, bool]:
+    """Send raw bytes; ``(status, JSON body, server closed the connection)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        body = json.loads(reply.read())
+        closed = sock.recv(1) == b""
+    return reply.status, body, closed
+
+
+class TestMalformedRequestHead:
+    """A head the server cannot parse is answered in JSON, then closed."""
+
+    @pytest.mark.parametrize(
+        "request_bytes,status",
+        [
+            (b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\n\r\n", 414),
+            (
+                b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"b" * MAX_LINE + b"\r\n\r\n",
+                431,
+            ),
+            (b"BANANA\r\n\r\n", 400),
+            (b"GET /v1/healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"POST /v1/solve HTTP/1.1\r\nContent-Length: -3\r\n\r\n", 400),
+        ],
+        ids=["long-request-line", "long-header", "garbage-line", "bad-header", "bad-length"],
+    )
+    def test_bad_head_is_json_bad_request(self, served, request_bytes, status):
+        service, client = served
+        port = urllib.parse.urlsplit(client.base_url).port
+        code, body, closed = _raw_exchange(port, request_bytes)
+        assert code == status
+        assert body["status"] == "error"
+        assert body["error"]["kind"] == "bad_request"
+        assert closed
+        # The node keeps serving other connections.
+        assert client.healthz() == {"status": "ok"}
+
+    def test_too_many_headers_is_431(self, served):
+        _, client = served
+        port = urllib.parse.urlsplit(client.base_url).port
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        code, body, _ = _raw_exchange(
+            port, b"GET /v1/healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert code == 431
+        assert body["error"]["kind"] == "bad_request"
+
 
 class TestOverload:
     def test_queue_exceeding_request_is_503(self, example_problem):
@@ -135,10 +202,8 @@ class TestOverload:
 
         service.executor.shutdown()
         service.executor = JobExecutor(gated, max_workers=1, queue_size=1)
-        server = make_server(service)
-        serve_thread = threading.Thread(target=server.serve_forever, daemon=True)
-        serve_thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server = BackgroundServer(ServiceServer(service))
+        base = server.base_url
         client = ServiceClient(base, timeout=30.0)
 
         def post_async(budget):
@@ -177,8 +242,7 @@ class TestOverload:
             release.set()
             for thread in blockers:
                 thread.join(timeout=15)
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.close()
 
 
@@ -194,9 +258,8 @@ class TestTimeout:
 
         service.executor.shutdown()
         service.executor = JobExecutor(gated, max_workers=1, queue_size=4)
-        server = make_server(service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server = BackgroundServer(ServiceServer(service))
+        base = server.base_url
         try:
             payload = {
                 "problem": problem_to_dict(example_problem),
@@ -215,6 +278,5 @@ class TestTimeout:
             assert body["error"]["kind"] == "timeout"
         finally:
             release.set()
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.close()

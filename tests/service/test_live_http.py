@@ -6,7 +6,6 @@ bodies — never 500 — and retried deliveries must replay idempotently.
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -15,7 +14,7 @@ import pytest
 from repro.core.serialize import problem_to_dict
 from repro.service.app import SchedulingService
 from repro.service.codec import dumps
-from repro.service.http import HttpPeer, ServiceClient, make_server
+from repro.service.http import BackgroundServer, HttpPeer, ServiceClient, ServiceServer
 
 
 @pytest.fixture
@@ -23,16 +22,9 @@ def served(tmp_path):
     service = SchedulingService(
         max_workers=2, queue_size=8, cache_size=32, live_dir=tmp_path / "live"
     )
-    server = make_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    try:
-        yield service, client
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+    with BackgroundServer(ServiceServer(service)) as server:
+        yield service, ServiceClient(server.base_url)
+    service.close()
 
 
 @pytest.fixture
@@ -241,10 +233,8 @@ class TestSync:
         _, exported = raw_get(client.base_url, f"/v1/workflows/{wid}/sync")
 
         other = SchedulingService(live_dir=tmp_path / "other")
-        server = make_server(other)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+        server = BackgroundServer(ServiceServer(other))
+        base = server.base_url
         try:
             code, body = raw_post(
                 base,
@@ -256,8 +246,7 @@ class TestSync:
             _, original = raw_get(client.base_url, f"/v1/workflows/{wid}")
             assert dumps(status) == dumps(original)
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             other.close()
 
     def test_malformed_push_is_400(self, served):
@@ -283,24 +272,16 @@ class TestSync:
         """End-to-end federation over real HTTP: every write on B lands
         on A via HttpPeer push, and A serves the identical status."""
         node_a = SchedulingService(live_dir=tmp_path / "a")
-        server_a = make_server(node_a)
-        thread_a = threading.Thread(
-            target=server_a.serve_forever, daemon=True
-        )
-        thread_a.start()
-        url_a = f"http://127.0.0.1:{server_a.server_address[1]}"
+        server_a = BackgroundServer(ServiceServer(node_a))
+        url_a = server_a.base_url
 
         node_b = SchedulingService(
             live_dir=tmp_path / "b",
             live_node="b",
             live_peers=[HttpPeer(url_a)],
         )
-        server_b = make_server(node_b)
-        thread_b = threading.Thread(
-            target=server_b.serve_forever, daemon=True
-        )
-        thread_b.start()
-        url_b = f"http://127.0.0.1:{server_b.server_address[1]}"
+        server_b = BackgroundServer(ServiceServer(node_b))
+        url_b = server_b.base_url
         try:
             code, reg = raw_post(url_b, "/v1/workflows", registration)
             assert code == 200
@@ -327,8 +308,7 @@ class TestSync:
                 (server_b, node_b),
                 (server_a, node_a),
             ):
-                server.shutdown()
-                server.server_close()
+                server.stop()
                 service.close()
 
     def test_stats_exposes_federation_health(self, served, registration):

@@ -81,16 +81,13 @@ class TestSolve:
 class TestServiceCommands:
     def test_serve_and_submit_round_trip(self, tmp_path, capsys):
         import json
-        import threading
 
         from repro.service.app import SchedulingService
-        from repro.service.http import make_server
+        from repro.service.http import BackgroundServer, ServiceServer
 
         service = SchedulingService(max_workers=1, queue_size=4)
-        server = make_server(service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
+        server = BackgroundServer(ServiceServer(service))
+        url = server.base_url
         try:
             assert main(["submit", "--url", url, "--budget", "57"]) == 0
             first = json.loads(capsys.readouterr().out)
@@ -101,9 +98,15 @@ class TestServiceCommands:
             second = json.loads(capsys.readouterr().out)
             assert second["cache_hit"] is True
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.close()
+
+    def test_serve_has_no_async_flag(self, capsys):
+        # One asyncio server serves every node; the selector is gone.
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--async", "--port", "0"])
+        assert info.value.code == 2
+        assert "--async" in capsys.readouterr().err
 
     def test_submit_unreachable_server_errors(self, capsys):
         code = main(
@@ -114,23 +117,20 @@ class TestServiceCommands:
 
     def test_submit_infeasible_budget_reports_error(self, capsys):
         import json
-        import threading
 
         from repro.service.app import SchedulingService
-        from repro.service.http import make_server
+        from repro.service.http import BackgroundServer, ServiceServer
 
         service = SchedulingService(max_workers=1, queue_size=4)
-        server = make_server(service)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
+        server = BackgroundServer(ServiceServer(service))
+        url = server.base_url
         try:
             code = main(["submit", "--url", url, "--budget", "0.01"])
             assert code == 1
             out = json.loads(capsys.readouterr().out)
             assert out["error"]["kind"] == "infeasible_budget"
         finally:
-            server.shutdown()
-            server.server_close()
+            server.stop()
             service.close()
 
 
